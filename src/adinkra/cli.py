@@ -207,9 +207,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     spec = topo.SearchSpec(
         d=args.bosons, n_colors=args.colors, dedupe=not args.no_dedupe
     )
-    outcome = topo.run_search(
-        spec, prune=not args.no_prune, budget=args.budget, workers=args.workers
-    )
+    outcome = topo.run_search(spec, prune=not args.no_prune, budget=args.budget)
     shown = (
         outcome.solutions
         if args.allow_disconnected
@@ -351,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip canonical deduplication")
     p.add_argument("--budget", type=int, default=None,
                    help="max raw candidates (default 10^9 or ADINKRA_BUDGET)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="partition enumeration into K ranges")
     _add_json_flag(p)
     p.set_defaults(func=cmd_search)
 

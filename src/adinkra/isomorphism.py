@@ -148,11 +148,12 @@ def _gauge_compatible(g1: ValiseGraph, g2: ValiseGraph, iso: Isomorphism) -> boo
     """Do the two sign patterns differ by a vertex sign flip?
 
     The per-edge ratio target/source must be a coboundary eps_u * eps_w;
-    equivalently BFS potentials must be consistent on every edge.
+    equivalently BFS potentials must be consistent on every edge.  The
+    ratio is kept per edge, since parallel edges of different colors
+    join the same two vertices with independent signs.
     """
     s2 = {(e.boson, e.fermion, e.color): e.sign for e in g2.edges}
-    ratio: dict[tuple[Node, Node], int] = {}
-    adj: dict[Node, list[Node]] = {v.node: [] for v in g1.vertices()}
+    adj: dict[Node, list[tuple[Node, int]]] = {v.node: [] for v in g1.vertices()}
     for e in g1.edges:
         image = (
             iso.bosons[e.boson - 1],
@@ -161,10 +162,8 @@ def _gauge_compatible(g1: ValiseGraph, g2: ValiseGraph, iso: Isomorphism) -> boo
         )
         r = s2[image] * e.sign  # signs are +-1, so ratio = product
         b, f = ("B", e.boson), ("F", e.fermion)
-        ratio[(b, f)] = r
-        ratio[(f, b)] = r
-        adj[b].append(f)
-        adj[f].append(b)
+        adj[b].append((f, r))
+        adj[f].append((b, r))
     pot: dict[Node, int] = {}
     for root in adj:
         if root in pot:
@@ -173,8 +172,8 @@ def _gauge_compatible(g1: ValiseGraph, g2: ValiseGraph, iso: Isomorphism) -> boo
         queue = [root]
         while queue:
             u = queue.pop(0)
-            for w in adj[u]:
-                expected = pot[u] * ratio[(u, w)]
+            for w, r in adj[u]:
+                expected = pot[u] * r
                 if w in pot:
                     if pot[w] != expected:
                         return False

@@ -15,6 +15,15 @@ subgraph is a disjoint union of quads.  The rule is therefore exactly
 the quad candidacy filter lifted to permutation level; the tests
 confirm pruned and unpruned searches agree, as does the acceptance
 cross-check.
+
+Surviving candidates are grouped by canonical_form: the lexicographic
+minimum, over color orders and boson relabelings, of the relative
+permutations to a base color.  It is computed by branch and bound
+(label bosons in the order the key is read, branch only where a label
+is free, stop a branch once its prefix exceeds the best key) and returns
+exactly the key of trying every relabeling, which the tests keep as an
+oracle.  The tesseract takes tens of milliseconds instead of seconds;
+the worst case is still N! * d! leaves on highly symmetric tuples.
 """
 
 from __future__ import annotations
@@ -142,32 +151,135 @@ def topology_of(g: ValiseGraph) -> Topology:
     return tuple(out)
 
 
+def _check_topology(topology: Topology) -> tuple[int, int]:
+    """(d, N) of a matching tuple; ValueError unless every entry is a
+    permutation of range(d) for one common d."""
+    if len(topology) == 0:
+        raise ValueError("need at least one color")
+    d = len(topology[0])
+    for color, p in enumerate(topology, start=1):
+        if len(p) != d:
+            raise ValueError(
+                f"color {color} has length {len(p)}, color 1 has {d}"
+            )
+        if set(p) != set(range(d)):
+            raise ValueError(f"color {color} is not a permutation of range({d})")
+    return d, len(topology)
+
+
+def _twin_classes(topology: Topology) -> list[int]:
+    """twin[x] = smallest boson y such that the transposition (x y)
+    commutes with every relative permutation.
+
+    Such a transposition is an automorphism of the graph, and the
+    relation is an equivalence (twins of twins are twins).  It does not
+    depend on which color is the base, since the relative permutations
+    of any base are products of those of color 1 and their inverses.
+    """
+    d = len(topology[0])
+    base_inv = _inverse(topology[0])
+    rels = [_compose(base_inv, t) for t in topology[1:]]
+
+    def swap_commutes(x: int, y: int) -> bool:
+        return all(
+            (r[x] == x and r[y] == y) or (r[x] == y and r[y] == x)
+            for r in rels
+        )
+
+    return [
+        next((y for y in range(x) if swap_commutes(x, y)), x)
+        for x in range(d)
+    ]
+
+
 def canonical_form(topology: Topology | ValiseGraph) -> Topology:
     """Key invariant under boson/fermion relabeling and color permutation.
 
-    Fermion relabeling is normalized away by composing with the first
-    color's inverse; the key is the minimum over color permutations and
-    boson relabelings of the resulting relative permutation tuple.
-    Cost is O(N! * d! * N * d): meant for desk-scale d.
+    Fermion relabeling is normalized away by composing with the base
+    color's inverse.  The key is the minimum, over color orders and
+    boson relabelings alpha, of the tuple of relative permutations
+    alpha . rel_r . alpha^-1, compared lexicographically; it is the same
+    key that trying every order and every alpha gives, and the tests keep
+    that brute force as an oracle.
+
+    The minimum is found by branch and bound.  For each color order,
+    alpha is built one label at a time while the key is read in order:
+    entry i of row 0 is the label of rel_0 applied to the boson labeled
+    i.  When no boson has label i yet, the search branches over the
+    unlabeled bosons; when the image is unlabeled, it takes the smallest
+    unused label, the only choice that can reach the minimum.  Row 0
+    labels every boson, so rows 1.. are then fixed.  A branch stops as
+    soon as its prefix exceeds the best key so far, which carries over
+    from one color order to the next, and of two unlabeled bosons whose
+    transposition is an automorphism only one is tried.  When rel_0 is a
+    fixed-point-free involution, as in every search candidate, a color
+    order has at most 2^(d/2) * (d/2)! leaves (384 at d = 8); the worst
+    case is still N! * d! leaves, on highly symmetric tuples whose
+    automorphisms are not generated by transpositions.
+
+    Raises ValueError unless the tuple is non-empty and every entry is a
+    permutation of range(d) for one common d.
     """
     if isinstance(topology, ValiseGraph):
         topology = topology_of(topology)
-    d = len(topology[0])
-    n = len(topology)
-    best: Topology | None = None
+    d, n = _check_topology(topology)
+    if n == 1:  # every matching is the same class
+        return ()
+    twin = _twin_classes(topology)
+    best_row: list[int] | None = None  # row 0 of the best key so far
+    best_rest: list[int] = []  # rows 1.., flattened
+    updates = 0
+
     for order in itertools.permutations(range(n)):
         base_inv = _inverse(topology[order[0]])
-        rel = [_compose(base_inv, topology[c]) for c in order[1:]]
-        for alpha in itertools.permutations(range(d)):
-            alpha_inv = _inverse(alpha)
-            key = tuple(
-                _compose(alpha, _compose(t, alpha_inv)) for t in rel
-            )
-            if best is None or key < best:
-                best = key
-    if best is None:  # n == 1: every matching is the same class
-        best = ()
-    return best
+        first, *others = [_compose(base_inv, topology[c]) for c in order[1:]]
+        lab = [-1] * d  # boson -> label
+        inv = [0] * d  # label -> boson
+        row = [0] * d
+
+        def descend(i: int, m: int, tight: bool) -> None:
+            # Labels 0..m-1 are assigned and row[:i] is read; tight means
+            # row[:i] equals best_row[:i] rather than being smaller.
+            nonlocal best_row, best_rest, updates
+            m0 = m
+            while i < m:
+                y = first[inv[i]]
+                v = lab[y]
+                if v < 0:
+                    v = lab[y] = m
+                    inv[m] = y
+                    m += 1
+                if tight:
+                    b = best_row[i]
+                    if v > b:
+                        break
+                    tight = v == b
+                row[i] = v
+                i += 1
+            else:
+                if i == d:
+                    rest = [lab[r[inv[j]]] for r in others for j in range(d)]
+                    if best_row is None or not tight or rest < best_rest:
+                        best_row, best_rest = row[:], rest
+                        updates += 1
+                else:
+                    tried = set()
+                    for x in range(d):
+                        if lab[x] >= 0 or twin[x] in tried:
+                            continue
+                        tried.add(twin[x])
+                        lab[x], inv[i] = i, x
+                        seen = updates
+                        descend(i, i + 1, tight)
+                        lab[x] = -1
+                        if updates != seen:
+                            tight = True
+            for k in range(m0, m):
+                lab[inv[k]] = -1
+
+        descend(0, 0, best_row is not None)
+    flat = best_row + best_rest
+    return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(n - 1))
 
 
 def enumerate_topologies(spec: SearchSpec, prune: bool = True,
@@ -199,21 +311,18 @@ def enumerate_topologies(spec: SearchSpec, prune: bool = True,
 _SUPPORT_REASON = "relative permutation not a fixed-point-free involution"
 
 
-def _scan_chunk(
-    spec: SearchSpec,
-    prune: bool,
-    perms: list[Perm],
-    top_range: tuple[int, int],
+def _scan(
+    spec: SearchSpec, prune: bool
 ) -> tuple[dict[Topology, tuple[int, int, Topology]], dict[str, int]]:
-    """Enumerate candidates whose sigma_2 index lies in top_range.
+    """Enumerate every candidate, sigma_1 = identity.
 
-    Returns {class_key: (first_index, multiplicity, topology)} and
-    pruned counts.  Candidate indices are mixed-radix positions in the
-    full (d!)^(N-1) space, so merging chunks preserves global order; a
-    prefix pruned at level L accounts for its whole subtree.
+    Returns {class_key: (first_index, multiplicity, topology)} in order
+    of first index, and pruned counts.  Candidate indices are mixed-radix
+    positions in the full (d!)^(N-1) space; a prefix pruned at level L
+    accounts for its whole subtree.
     """
+    perms = list(itertools.permutations(range(spec.d)))
     n_perms = len(perms)
-    identity = tuple(range(spec.d))
     levels = spec.n_colors - 1
     classes: dict[Topology, tuple[int, int, Topology]] = {}
     pruned = {_SUPPORT_REASON: 0}
@@ -231,9 +340,7 @@ def _scan_chunk(
             record(tuple(chosen), base)
             return
         subtree = n_perms ** (levels - level - 1)
-        lo, hi = top_range if level == 0 else (0, n_perms)
-        for t in range(lo, hi):
-            p = perms[t]
+        for t, p in enumerate(perms):
             if prune and not all(
                 is_fpf_involution(_relative(p, q)) for q in chosen
             ):
@@ -243,12 +350,8 @@ def _scan_chunk(
             rec(chosen, base + t * subtree, level + 1)
             chosen.pop()
 
-    if levels == 0:
-        # No free colors: the identity matching is the only candidate.
-        if top_range[0] == 0:
-            record((identity,), 0)
-    else:
-        rec([identity], 0, 0)
+    # With one color the identity matching is the only candidate.
+    rec([perms[0]], 0, 0)
     return classes, pruned
 
 
@@ -256,50 +359,21 @@ def run_search(
     spec: SearchSpec,
     prune: bool = True,
     budget: int | None = None,
-    workers: int = 1,
 ) -> SearchOutcome:
     """Full pipeline: enumerate, dedupe, dashing-search each class.
 
     Every returned solution carries a witness dashing and has been
-    re-verified by the exact garden check inside search_dashings.  The
-    outcome is independent of worker count: chunks cover disjoint
-    sigma_2 ranges and merge by first raw index.
+    re-verified by the exact garden check inside search_dashings.
+    Classes are reported in order of their first raw candidate.
     """
     budget = resolve_budget(budget, TOPOLOGY_BUDGET)
     if spec.raw_size > budget:
         raise BudgetError(spec.raw_size, budget, what="topology search")
-    perms = list(itertools.permutations(range(spec.d)))
-
-    if spec.n_colors == 1:
-        ranges = [(0, 1)]
-    else:
-        n_top = len(perms)
-        workers = max(1, min(workers, n_top))
-        step, extra = divmod(n_top, workers)
-        ranges, lo = [], 0
-        for w in range(workers):
-            hi = lo + step + (1 if w < extra else 0)
-            ranges.append((lo, hi))
-            lo = hi
-
-    merged: dict[Topology, tuple[int, int, Topology]] = {}
-    pruned_counts: dict[str, int] = {}
-    for rng in ranges:
-        classes, pruned = _scan_chunk(spec, prune, perms, rng)
-        for key, (first, mult, topo) in classes.items():
-            if key in merged:
-                mfirst, mmult, mtopo = merged[key]
-                better = (first, topo) if first < mfirst else (mfirst, mtopo)
-                merged[key] = (better[0], mmult + mult, better[1])
-            else:
-                merged[key] = (first, mult, topo)
-        for reason, count in pruned.items():
-            if count:
-                pruned_counts[reason] = pruned_counts.get(reason, 0) + count
+    classes, pruned = _scan(spec, prune)
+    pruned_counts = {reason: count for reason, count in pruned.items() if count}
 
     solutions = []
-    ordered = sorted(merged.items(), key=lambda kv: kv[1][0])
-    for key, (first, mult, topo) in ordered:
+    for key, (first, mult, topo) in classes.items():
         g = topology_graph(topo, name=f"search-d{spec.d}-n{spec.n_colors}-{first}")
         result = search_dashings(g, exhaustive=False, budget=budget)
         if result.feasible:

@@ -6,9 +6,13 @@ caller, so every test run sees the same sequence.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from adinkra import Edge, ValiseGraph, garden_check, to_matrices
+from adinkra.isomorphism import Isomorphism
+from adinkra.search import _compose, _inverse
 
 
 def random_valise_graph(
@@ -76,3 +80,44 @@ def disjoint_union(a: ValiseGraph, b: ValiseGraph, name: str) -> ValiseGraph:
         fermions=a.fermions + tuple(lab + "+" for lab in b.fermions),
         edges=tuple(sorted(edges)),
     )
+
+
+def brute_gauge_compatible(
+    g1: ValiseGraph, g2: ValiseGraph, iso: Isomorphism
+) -> bool:
+    """Does some vertex flip of g1, carried along iso, give g2's signs?
+
+    Tries all 2^V flips, so it is meant for graphs of at most 8 vertices.
+    """
+    s2 = {(e.boson, e.fermion, e.color): e.sign for e in g2.edges}
+    wanted = [
+        s2[(iso.bosons[e.boson - 1], iso.fermions[e.fermion - 1],
+            iso.colors[e.color - 1])]
+        for e in g1.edges
+    ]
+    for flips in itertools.product((1, -1), repeat=g1.d + g1.d_hat):
+        eps_b, eps_f = flips[:g1.d], flips[g1.d:]
+        if all(
+            eps_b[e.boson - 1] * eps_f[e.fermion - 1] * e.sign == w
+            for e, w in zip(g1.edges, wanted)
+        ):
+            return True
+    return False
+
+
+def brute_canonical_form(topology: tuple[tuple[int, ...], ...]):
+    """The canonical key by trying every color order and every boson
+    relabeling alpha: the minimum of (alpha . rel_r . alpha^-1)_r, where
+    rel_r is the base color's inverse composed with color r.  Costs
+    O(N! * d! * N * d)."""
+    d, n = len(topology[0]), len(topology)
+    best = None
+    for order in itertools.permutations(range(n)):
+        base_inv = _inverse(topology[order[0]])
+        rel = [_compose(base_inv, topology[c]) for c in order[1:]]
+        for alpha in itertools.permutations(range(d)):
+            alpha_inv = _inverse(alpha)
+            key = tuple(_compose(alpha, _compose(t, alpha_inv)) for t in rel)
+            if best is None or key < best:
+                best = key
+    return best

@@ -1,5 +1,6 @@
 """Edge-colored isomorphism with sign modes."""
 
+import numpy as np
 import pytest
 
 from adinkra import (
@@ -15,6 +16,8 @@ from adinkra import (
     tesseract,
     vertex_flip,
 )
+from adinkra.isomorphism import Isomorphism, _gauge_compatible
+from conftest import brute_gauge_compatible, random_valise_graph
 
 
 def test_identity_isomorphism():
@@ -111,3 +114,57 @@ def test_isolated_vertices_are_matched():
 def test_invalid_sign_mode():
     with pytest.raises(ValueError, match="signs"):
         list(find_isomorphisms(diamond(), diamond(), signs="sometimes"))
+
+
+def test_gauge_mode_keeps_parallel_edges_apart():
+    # One boson and one fermion joined by a color-1 and a color-2 edge.
+    # Flipping a vertex negates both edges, so (+,+) and (+,-) differ by
+    # no gauge transformation.
+    same = ValiseGraph(
+        "same", 2, ("b",), ("f",), (Edge(1, 1, 1, 1), Edge(1, 1, 2, 1))
+    )
+    mixed = ValiseGraph(
+        "mixed", 2, ("b",), ("f",), (Edge(1, 1, 1, 1), Edge(1, 1, 2, -1))
+    )
+    assert is_isomorphic(same, mixed, signs="ignore")
+    assert not is_isomorphic(same, mixed, signs="gauge")
+    assert not is_isomorphic(same, mixed, signs="gauge", color_permutation=False)
+    flipped = vertex_flip(mixed, ("B", 1))
+    assert is_isomorphic(mixed, flipped, signs="gauge")
+
+
+def test_gauge_check_matches_vertex_flip_oracle():
+    rng = np.random.default_rng(2024)
+    agree = {True: 0, False: 0}
+    for tag in range(300):
+        g1 = random_valise_graph(rng, max_d=4, tag=tag)
+        beta = rng.permutation(g1.d) + 1
+        phi = rng.permutation(g1.d_hat) + 1
+        gamma = rng.permutation(g1.n_colors) + 1
+        iso = Isomorphism(
+            tuple(int(b) for b in beta),
+            tuple(int(f) for f in phi),
+            tuple(int(c) for c in gamma),
+        )
+        # The image of g1 under a random vertex flip, sometimes with one
+        # edge negated on top.
+        eps_b = rng.choice((-1, 1), size=g1.d)
+        eps_f = rng.choice((-1, 1), size=g1.d_hat)
+        spoil = -1
+        if g1.edges and rng.random() < 0.5:
+            spoil = int(rng.integers(len(g1.edges)))
+        edges = tuple(sorted(
+            Edge(
+                iso.bosons[e.boson - 1],
+                iso.fermions[e.fermion - 1],
+                iso.colors[e.color - 1],
+                int(eps_b[e.boson - 1] * eps_f[e.fermion - 1] * e.sign)
+                * (-1 if k == spoil else 1),
+            )
+            for k, e in enumerate(g1.edges)
+        ))
+        g2 = ValiseGraph("image", g1.n_colors, g1.bosons, g1.fermions, edges)
+        expected = brute_gauge_compatible(g1, g2, iso)
+        assert _gauge_compatible(g1, g2, iso) == expected, tag
+        agree[expected] += 1
+    assert min(agree.values()) >= 20  # both answers are exercised

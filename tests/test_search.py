@@ -1,5 +1,7 @@
 """Topology search: enumeration, canonical forms, full pipeline."""
 
+import random
+
 import pytest
 
 from adinkra import (
@@ -21,7 +23,7 @@ from adinkra import (
     topology_of,
 )
 from adinkra.search import _SUPPORT_REASON
-from conftest import disjoint_union
+from conftest import brute_canonical_form, disjoint_union
 
 
 def test_spec_validation_and_raw_size():
@@ -112,6 +114,83 @@ def test_canonical_form_matches_isomorphism_oracle():
                 assert same == (keys[i] == keys[j]), (spec, i, j)
 
 
+def _random_perm(rng: random.Random, d: int) -> tuple[int, ...]:
+    return tuple(rng.sample(range(d), d))
+
+
+def _involution(rng: random.Random, d: int) -> tuple[int, ...]:
+    """A random involution: some disjoint swaps, the rest fixed."""
+    order = rng.sample(range(d), d)
+    p = list(range(d))
+    for k in range(0, d - 1, 2):
+        if rng.random() < 0.7:
+            x, y = order[k], order[k + 1]
+            p[x], p[y] = y, x
+    return tuple(p)
+
+
+def test_canonical_form_matches_brute_force_on_candidates():
+    for d, n in ((3, 2), (4, 2), (4, 3), (4, 4), (6, 2)):
+        for t in enumerate_topologies(SearchSpec(d, n)):
+            assert canonical_form(t) == brute_canonical_form(t), t
+    # The unpruned leaves include every kind of relative permutation.
+    for t in enumerate_topologies(SearchSpec(4, 3), prune=False):
+        assert canonical_form(t) == brute_canonical_form(t), t
+
+
+def test_canonical_form_matches_brute_force_on_random_tuples():
+    rng = random.Random(1201)
+    for _ in range(300):
+        d, n = rng.randint(1, 6), rng.randint(1, 3)
+        make = _random_perm if rng.random() < 0.6 else _involution
+        t = tuple(make(rng, d) for _ in range(n))
+        assert canonical_form(t) == brute_canonical_form(t), t
+
+
+def test_canonical_form_matches_brute_force_on_degenerate_tuples():
+    rng = random.Random(88)
+    cases = [((),), ((), ()), ((0,),), ((0,), (0,), (0,))]
+    for d in range(1, 7):
+        identity = tuple(range(d))
+        p, q = _random_perm(rng, d), _involution(rng, d)
+        cases += [
+            (p,),  # N = 1
+            (identity,) * 3,  # all identity
+            (p, p),  # repeated colors
+            (p, q, p),
+            (identity, q, q),
+            (q, identity, q),
+        ]
+    for t in cases:
+        assert canonical_form(t) == brute_canonical_form(t), t
+
+
+def test_canonical_form_of_relabeled_tesseract():
+    topo = topology_of(tesseract())
+    key = canonical_form(topo)
+    rng = random.Random(4)
+    for _ in range(6):
+        beta, phi = _random_perm(rng, 8), _random_perm(rng, 8)
+        colors = rng.sample(range(4), 4)
+        beta_inv = tuple(beta.index(i) for i in range(8))
+        relabeled = tuple(
+            tuple(phi[topo[c][beta_inv[i]]] for i in range(8)) for c in colors
+        )
+        assert canonical_form(relabeled) == key
+
+
+def test_canonical_form_rejects_malformed_tuples():
+    for bad in (
+        (),  # no colors
+        ((0, 1), (0,)),  # unequal lengths
+        ((0, 1), (1, 1)),  # repeated image
+        ((0, 2),),  # image out of range
+        ((0, 1), (0, -1)),
+    ):
+        with pytest.raises(ValueError):
+            canonical_form(bad)
+
+
 def test_run_search_diamond():
     out = run_search(SearchSpec(2, 2))
     assert out.scanned == 2
@@ -166,13 +245,6 @@ def test_run_search_single_color():
     assert len(out.solutions) == 1 and out.solutions[0].connected
     out = run_search(SearchSpec(2, 1))
     assert len(out.solutions) == 1 and not out.solutions[0].connected
-
-
-def test_run_search_workers_agree():
-    lone = run_search(SearchSpec(4, 3), workers=1)
-    pooled = run_search(SearchSpec(4, 3), workers=4)
-    assert lone.solutions == pooled.solutions
-    assert dict(lone.pruned) == dict(pooled.pruned)
 
 
 def test_run_search_no_dedupe():
