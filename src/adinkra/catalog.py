@@ -9,7 +9,6 @@ realized by deleting two antipodal bosons from the tesseract.
 
 from __future__ import annotations
 
-import enum
 import re
 
 from . import graph as gm
@@ -119,15 +118,6 @@ _RI_L = [
         [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
     ],
 ]
-
-
-class TopologyId(enum.Enum):
-    BOW_TIE = "bow-tie"
-    DIAMOND = "diamond"
-    HYPERCUBE = "hypercube"
-    RHOMBIC_DODECAHEDRON = "rhombic-dodecahedron"
-    RHOMBIC_ICOSAHEDRON = "rhombic-icosahedron"
-    LIFTED_RD = "lifted-rd"
 
 
 def rhombic_dodecahedron() -> ValiseGraph:
@@ -291,13 +281,3 @@ def builtin(name: str) -> ValiseGraph:
         f"unknown builtin graph {name!r}; available: {', '.join(BUILTIN_NAMES)}"
     )
 
-
-def build(topology: TopologyId, n: int | None = None) -> ValiseGraph:
-    """Construct a catalog graph from its topology identifier."""
-    if topology is TopologyId.HYPERCUBE:
-        if n is None:
-            raise ValueError("hypercube needs a dimension")
-        return hypercube(n)
-    if n is not None:
-        raise ValueError(f"{topology.value} takes no dimension")
-    return _BUILTINS[topology.value]()

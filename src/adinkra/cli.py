@@ -177,7 +177,7 @@ def cmd_garden(args: argparse.Namespace) -> int:
 def cmd_dashings(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     result = dashings.search_dashings(
-        g, exhaustive=args.exhaustive, budget=args.budget, workers=args.workers
+        g, exhaustive=args.exhaustive, budget=args.budget
     )
     if args.json is not None:
         obj = {"graph": g.name}
@@ -331,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count all gauge orbits instead of stopping at one")
     p.add_argument("--budget", type=int, default=None,
                    help="max enumeration steps (default 2^28 or ADINKRA_BUDGET)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="partition the scan into K ranges")
     _add_json_flag(p)
     p.set_defaults(func=cmd_dashings)
 

@@ -1,32 +1,32 @@
-"""Gauge-reduced exhaustive search for garden-compatible sign choices.
+"""Gauge-reduced search for garden-compatible sign choices.
 
 Flipping every edge sign at one vertex conjugates each L_I by a
-diagonal +-1 matrix, which preserves both garden relation families, so
-dashings come in gauge orbits of size 2^(V - #components).  Fixing a
-spanning forest's edges to +1 picks exactly one representative per
-orbit, cutting the raw 2^E space down to 2^(E - V + #components).
+diagonal +-1 matrix, which preserves both garden relation families.
+The flips that fix a dashing are exactly those constant on each
+connected component, so every gauge orbit has size 2^(V - #components),
+which is the edge count of a spanning forest.  Fixing the forest's
+edges to +1 picks exactly one representative per orbit, cutting the
+raw 2^E space down to 2^free with free = E - V + #components.
 
-Two accelerators sit in front of the residual enumeration, both
-validated against brute force by the test suite rather than trusted:
-
-  * odd-quad rule: on any graph passing the candidacy filters, a
-    dashing satisfies the garden relations iff every bi-color 4-cycle
-    carries an odd number of dashed edges (sign product -1 around the
-    quad, which is what makes the off-diagonal products cancel).
-  * the odd-quad conditions form a linear system over GF(2) in the free
-    edges; when it is unsolvable the topology is infeasible outright.
-
-Every candidate surviving the quad parity screen is still confirmed
-with the exact garden check, and every returned witness is re-verified.
+On a graph passing the candidacy filters, a dashing satisfies the
+garden relations iff every bi-color 4-cycle carries an odd number of
+dashed edges (sign product -1 around the quad, which is what makes the
+off-diagonal products cancel).  Over the free edges that is a linear
+system over GF(2).  Elimination to reduced echelon form decides it:
+an inconsistent system means the topology is infeasible outright;
+otherwise the smallest solution is the witness, and the solutions,
+one per gauge orbit, are that witness plus the 2^nullity members of
+the nullspace.  Every solution returned or
+counted is still confirmed with the exact garden check; the test suite
+compares the whole path against a brute-force scan of all 2^free
+gauge-fixed vectors.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import graph as gm
 from .errors import BudgetError
@@ -118,9 +118,9 @@ def gauge_fix(g: ValiseGraph) -> tuple[int, ...]:
         if root in seen:
             continue
         seen.add(root)
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             for idx, w in adj[u]:
                 if w not in seen:
                     seen.add(w)
@@ -152,92 +152,92 @@ def odd_quad_check(
     return not bad, bad
 
 
-def _parity_feasible(quad_rows: list[tuple[int, ...]], free_pos: dict[int, int]) -> bool:
-    """Solvability over GF(2) of: odd count of dashed free edges per quad.
+def _solve_odd_quads(
+    quad_rows: list[tuple[int, ...]], free_pos: dict[int, int]
+) -> tuple[int, list[int]] | None:
+    """Solve over GF(2): an odd count of dashed free edges per quad.
 
-    Rows are packed as ints, free-edge bits below one rhs bit; forest
-    edges are +1 so they never contribute.  A spanning forest is
-    acyclic, hence every quad keeps at least one free edge.
+    Unknowns are the free-edge bits of free_pos (bit 1 = sign +1);
+    forest edges are +1 so they never contribute, and since a spanning
+    forest is acyclic every quad keeps at least one free edge.  Rows
+    are packed as ints, free-edge bits below one rhs bit, and brought
+    to reduced echelon form with each row pivoting on its lowest bit.
+
+    Returns None when the system is inconsistent.  Otherwise returns
+    the smallest solution (every non-pivot bit 0, each pivot bit its
+    row's rhs, since a row holds no bits below its pivot) and a
+    nullspace basis, one vector per non-pivot bit; the solutions are
+    the minimum xor every subset of the basis.
     """
     k = len(free_pos)
-    rows = []
+    mask = (1 << k) - 1
+    pivots: dict[int, int] = {}
     for quad in quad_rows:
-        row = 1 << k  # rhs: parity of dashed edges must be odd
+        row = 0
         for idx in quad:
             if idx in free_pos:
                 row ^= 1 << free_pos[idx]
-        rows.append(row)
-    pivots: dict[int, int] = {}
-    for row in rows:
-        for bit in range(k - 1, -1, -1):
-            if not (row >> bit) & 1:
-                continue
-            if bit in pivots:
-                row ^= pivots[bit]
-            else:
-                pivots[bit] = row
-                break
-        else:
+        # m free edges with an odd number dashed: m - 1 of them are +1, mod 2
+        row |= ((row.bit_count() + 1) & 1) << k
+        for bit, pivot_row in pivots.items():
+            if (row >> bit) & 1:
+                row ^= pivot_row
+        if not row & mask:
             if row:  # reduced to 0 = 1
-                return False
-    return True
-
-
-def _garden_ok(mats: list[np.ndarray]) -> bool:
-    """Boolean-only garden check, shared shapes assumed, early exit."""
-    n = len(mats)
-    d, dh = mats[0].shape
-    eye_d = 2 * np.eye(d, dtype=np.int64)
-    eye_dh = 2 * np.eye(dh, dtype=np.int64)
-    zero_d = np.zeros((d, d), dtype=np.int64)
-    zero_dh = np.zeros((dh, dh), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            left = mats[i] @ mats[j].T + mats[j] @ mats[i].T
-            if not np.array_equal(left, eye_d if i == j else zero_d):
-                return False
-            right = mats[i].T @ mats[j] + mats[j].T @ mats[i]
-            if not np.array_equal(right, eye_dh if i == j else zero_dh):
-                return False
-    return True
-
-
-def _partition(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total)) if total else 1
-    step, extra = divmod(total, parts)
-    out, lo = [], 0
-    for p in range(parts):
-        hi = lo + step + (1 if p < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
+                return None
+            continue
+        bit = (row & -row).bit_length() - 1
+        for other, pivot_row in pivots.items():
+            if (pivot_row >> bit) & 1:
+                pivots[other] = pivot_row ^ row
+        pivots[bit] = row
+    minimum = sum(1 << bit for bit, row in pivots.items() if row >> k)
+    basis = [
+        (1 << j) | sum(1 << bit for bit, row in pivots.items() if (row >> j) & 1)
+        for j in range(k)
+        if j not in pivots
+    ]
+    return minimum, basis
 
 
 def search_dashings(
     g: ValiseGraph,
     exhaustive: bool = False,
     budget: int | None = None,
-    workers: int = 1,
 ) -> DashingSearchResult:
     """Decide whether any dashing of g satisfies the garden relations.
 
     Short-circuits when a candidacy filter fails (those failures are
-    sign-independent).  Otherwise enumerates sign vectors over the free
-    edges of a spanning forest in lexicographic order (-1 before +1,
-    first free edge most significant), screening with quad parity and
-    confirming with the exact garden check.  The witness is the
-    lexicographically smallest feasible vector, independent of the
-    worker count.  With exhaustive=True all 2^free vectors are scanned,
-    count_gauge_orbits is exact, and count_total expands the orbit
-    count by 2^(V - #components) after spot-checking that vertex flips
-    act freely; otherwise the scan stops at the first witness and
-    count_gauge_orbits is 1 or 0.
+    sign-independent).  Otherwise the odd-quad conditions over the free
+    edges of a spanning forest are solved by GF(2) elimination.  A sign
+    vector over the free edges reads as an integer, first free edge
+    most significant and bit 1 for +1, and the witness is the smallest
+    solution, taken straight from the reduced echelon form; it is the
+    first feasible vector in lexicographic order with -1 before +1.
+    With exhaustive=True all 2^nullity solutions are enumerated, so
+    count_gauge_orbits is exact, and count_total is that count shifted
+    by the forest size (V - #components, the log2 of every orbit's
+    size); otherwise count_gauge_orbits is 1 or 0.  Every returned or
+    counted solution is confirmed with the exact garden check.  The
+    budget still caps 2^free, the size of the gauge-fixed space.
     """
     budget = resolve_budget(budget)
     report = candidacy(g)
     forest = gauge_fix(g)
-    free = [i for i in range(len(g.edges)) if i not in set(forest)]
+    fixed = set(forest)
+    free = [i for i in range(len(g.edges)) if i not in fixed]
     k = len(free)
+
+    def infeasible(reason: str | None) -> DashingSearchResult:
+        return DashingSearchResult(
+            feasible=False,
+            witness=None,
+            count_gauge_orbits=0,
+            count_total=0 if exhaustive else None,
+            pruned_reason=reason,
+            free_edge_count=k,
+            exhaustive=exhaustive,
+        )
 
     if not report.is_candidate:
         if not report.equal_counts_ok:
@@ -252,119 +252,36 @@ def search_dashings(
                 f"bi-color quad filter failed ({len(report.bad_cycles)} "
                 f"cycles of length != 4)"
             )
-        return DashingSearchResult(
-            feasible=False,
-            witness=None,
-            count_gauge_orbits=0,
-            count_total=0 if exhaustive else None,
-            pruned_reason=reason,
-            free_edge_count=k,
-            exhaustive=exhaustive,
-        )
+        return infeasible(reason)
 
-    quad_rows = quads(g)
     free_pos = {edge_idx: k - 1 - t for t, edge_idx in enumerate(free)}
-    if not _parity_feasible(quad_rows, free_pos):
-        return DashingSearchResult(
-            feasible=False,
-            witness=None,
-            count_gauge_orbits=0,
-            count_total=0 if exhaustive else None,
-            pruned_reason="quad parity system unsolvable over GF(2)",
-            free_edge_count=k,
-            exhaustive=exhaustive,
-        )
+    solved = _solve_odd_quads(quads(g), free_pos)
+    if solved is None:
+        return infeasible("quad parity system unsolvable over GF(2)")
 
     if 2**k > budget:
         raise BudgetError(2**k, budget, what=f"dashing search on {g.name!r}")
 
-    # Per-quad bitmask over free edges plus the popcount parity that
-    # makes the -1 count odd (bit 1 = sign +1, bit 0 = sign -1).
-    masks = []
-    for quad in quad_rows:
-        mask = 0
-        for idx in quad:
-            if idx in free_pos:
-                mask |= 1 << free_pos[idx]
-        masks.append((mask, (bin(mask).count("1") - 1) % 2))
+    def confirmed(v: int) -> DashingAssignment:
+        signs = [1] * len(g.edges)
+        for idx, bit in free_pos.items():
+            signs[idx] = 1 if (v >> bit) & 1 else -1
+        a = DashingAssignment(signs=tuple(signs), gauge_fixed=True)
+        if not garden_check(gm.to_matrices(apply_dashing(g, a))).ok:
+            # the odd-quad rule and the full check must agree
+            raise AssertionError("odd-quad solution failed garden verification")
+        return a
 
-    n_edges = len(g.edges)
-    rows = [np.array([e.boson - 1 for e in g.edges if e.color == c], dtype=np.intp)
-            for c in range(1, g.n_colors + 1)]
-    cols = [np.array([e.fermion - 1 for e in g.edges if e.color == c], dtype=np.intp)
-            for c in range(1, g.n_colors + 1)]
-    eidx = [np.array([i for i, e in enumerate(g.edges) if e.color == c], dtype=np.intp)
-            for c in range(1, g.n_colors + 1)]
-    free_arr = np.array(free, dtype=np.intp)
-
-    def signs_for(v: int) -> np.ndarray:
-        s = np.ones(n_edges, dtype=np.int64)
-        if k:
-            bits = (v >> np.arange(k - 1, -1, -1, dtype=np.int64)) & 1
-            s[free_arr] = 2 * bits - 1
-        return s
-
-    def mats_for(s: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for c in range(g.n_colors):
-            m = np.zeros((g.d, g.d_hat), dtype=np.int64)
-            m[rows[c], cols[c]] = s[eidx[c]]
-            out.append(m)
-        return out
-
-    def scan(chunk: tuple[int, int]) -> tuple[int, int | None]:
-        lo, hi = chunk
-        count, first = 0, None
-        for v in range(lo, hi):
-            if any((v & mask).bit_count() % 2 != want for mask, want in masks):
-                continue
-            if not _garden_ok(mats_for(signs_for(v))):
-                continue
-            count += 1
-            if first is None:
-                first = v
-            if not exhaustive:
-                break
-        return count, first
-
-    chunks = _partition(2**k, workers)
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(scan, chunks))
-    else:
-        results = [scan(chunks[0])]
-
-    found = [first for _, first in results if first is not None]
-    witness_v = min(found) if found else None
-    orbit_count = sum(count for count, _ in results)
-    if not exhaustive:
-        orbit_count = 1 if witness_v is not None else 0
-
-    if witness_v is None:
-        return DashingSearchResult(
-            feasible=False,
-            witness=None,
-            count_gauge_orbits=0,
-            count_total=0 if exhaustive else None,
-            pruned_reason=None,
-            free_edge_count=k,
-            exhaustive=exhaustive,
-        )
-
-    witness = DashingAssignment(
-        signs=tuple(int(x) for x in signs_for(witness_v)), gauge_fixed=True
-    )
-    dashed = apply_dashing(g, witness)
-    confirm = garden_check(gm.to_matrices(dashed))
-    if not confirm.ok:  # the fast path and the full check must agree
-        raise AssertionError("witness failed garden re-verification")
-
-    count_total = None
+    minimum, basis = solved
+    witness = confirmed(minimum)
+    orbit_count, count_total = 1, None
     if exhaustive:
-        v_count = g.d + g.d_hat
-        n_comp = len(gm.connected_components(g))
-        if _orbit_is_free(dashed):
-            count_total = orbit_count << (v_count - n_comp)
+        v = minimum
+        for step in range(1, 1 << len(basis)):  # Gray code: one basis xor a step
+            v ^= basis[(step & -step).bit_length() - 1]
+            confirmed(v)
+        orbit_count = 1 << len(basis)
+        count_total = orbit_count << len(forest)
     return DashingSearchResult(
         feasible=True,
         witness=witness,
@@ -374,32 +291,3 @@ def search_dashings(
         free_edge_count=k,
         exhaustive=exhaustive,
     )
-
-
-def _orbit_is_free(g: ValiseGraph, samples: int = 5) -> bool:
-    """Spot check that non-constant vertex flips change the dashing.
-
-    The stabilizer of any sign vector is exactly the flips constant on
-    each component, which makes orbits size 2^(V - #components); this
-    samples the claim instead of assuming it.
-    """
-    comps = [c for c in gm.connected_components(g) if len(c) > 1]
-    if not comps:
-        return True
-    rng = np.random.default_rng(20260815)
-    original = [e.sign for e in g.edges]
-    for _ in range(samples):
-        eps = {v.node: int(rng.choice((-1, 1))) for v in g.vertices()}
-        # Force non-constancy on some component that has edges.
-        comp = comps[int(rng.integers(len(comps)))]
-        members = sorted(comp)
-        if len({eps[m] for m in members}) == 1:
-            eps[members[0]] = -eps[members[0]]
-        flipped = [
-            eps[("B", e.boson)] * eps[("F", e.fermion)] * e.sign for e in g.edges
-        ]
-        if flipped == original:
-            return False
-        if not _garden_ok(gm.to_matrices(g.with_signs(flipped))):
-            return False
-    return True

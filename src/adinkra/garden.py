@@ -43,20 +43,6 @@ def as_exact(matrix: object) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def transpose(matrix: object) -> np.ndarray:
-    return as_exact(matrix).T.copy()
-
-
-def multiply(a: object, b: object) -> np.ndarray:
-    """Exact integer matrix product with a dimension check."""
-    am, bm = as_exact(a), as_exact(b)
-    if am.shape[1] != bm.shape[0]:
-        raise ValueError(
-            f"cannot multiply {am.shape} by {bm.shape}: inner dimensions differ"
-        )
-    return am @ bm
-
-
 def color_pairs(n_colors: int) -> list[Pair]:
     """All 1-based pairs (I, J) with I <= J, sorted by (I, J)."""
     return [(i, j) for i in range(1, n_colors + 1) for j in range(i, n_colors + 1)]

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from adinkra import Edge, ValiseGraph, garden_check, to_matrices
+from adinkra import Edge, ValiseGraph, garden_check, gauge_fix, to_matrices
 from adinkra.isomorphism import Isomorphism
 from adinkra.search import _compose, _inverse
 
@@ -63,6 +63,40 @@ def raw_feasible_count(g: ValiseGraph) -> int:
         if garden_check(to_matrices(g.with_signs(signs))).ok:
             count += 1
     return count
+
+
+def brute_gauge_orbits(g: ValiseGraph) -> tuple[int, tuple[int, ...] | None]:
+    """Scan every gauge-fixed sign vector with the dense garden check.
+
+    Spanning-forest edges stay +1 and the 2^free choices on the other
+    edges go in lexicographic order (-1 before +1, first free edge
+    first).  Returns the number that pass and the first one that does.
+    """
+    fixed = set(gauge_fix(g))
+    free = [i for i in range(len(g.edges)) if i not in fixed]
+    count, first = 0, None
+    for choice in all_sign_vectors(len(free)):
+        signs = [1] * len(g.edges)
+        for idx, sign in zip(free, choice):
+            signs[idx] = sign
+        if garden_check(to_matrices(g.with_signs(signs))).ok:
+            count += 1
+            if first is None:
+                first = tuple(signs)
+    return count, first
+
+
+def brute_orbit_size(g: ValiseGraph) -> int:
+    """Size of every gauge orbit: 2^V over the number of vertex flips
+    that change no edge sign, counted over all 2^V flips.  A flip keeps
+    a sign iff it flips both ends or neither, whatever the sign is, so
+    the size is the same for every dashing."""
+    fixing = 0
+    for flips in itertools.product((1, -1), repeat=g.d + g.d_hat):
+        eps_b, eps_f = flips[:g.d], flips[g.d:]
+        if all(eps_b[e.boson - 1] == eps_f[e.fermion - 1] for e in g.edges):
+            fixing += 1
+    return 2 ** (g.d + g.d_hat) // fixing
 
 
 def disjoint_union(a: ValiseGraph, b: ValiseGraph, name: str) -> ValiseGraph:

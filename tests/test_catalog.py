@@ -7,9 +7,7 @@ import pytest
 
 from adinkra import (
     GraphFormatError,
-    TopologyId,
     bow_tie,
-    build,
     builtin,
     canonical_form,
     cube,
@@ -167,11 +165,12 @@ def test_builtin_lookup_and_aliases():
         builtin("hypercube-0")
 
 
-def test_build_from_topology_id():
-    assert build(TopologyId.DIAMOND).name == "diamond"
-    assert build(TopologyId.HYPERCUBE, 3).name == "hypercube-3"
-    assert build(TopologyId.LIFTED_RD).n_colors == 5
-    with pytest.raises(ValueError, match="dimension"):
-        build(TopologyId.HYPERCUBE)
-    with pytest.raises(ValueError, match="no dimension"):
-        build(TopologyId.DIAMOND, 2)
+def test_builtin_serves_every_catalog_builder():
+    assert builtin("diamond").name == "diamond"
+    assert builtin("hypercube-3").name == "hypercube-3"
+    assert builtin("lifted-rd").n_colors == 5
+    for name, make in (("bow-tie", bow_tie), ("rhombic-dodecahedron", rhombic_dodecahedron),
+                       ("rhombic-icosahedron", rhombic_icosahedron)):
+        assert builtin(name).edges == make().edges
+    with pytest.raises(GraphFormatError, match="unknown builtin"):
+        builtin("hypercube")

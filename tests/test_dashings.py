@@ -1,11 +1,16 @@
 """Dashing enumeration: gauge fixing, odd-quad rule, exhaustive counts."""
 
+import random
+
 import numpy as np
 import pytest
 
 from adinkra import (
     BudgetError,
     DashingAssignment,
+    Edge,
+    SearchSpec,
+    ValiseGraph,
     apply_dashing,
     bow_tie,
     cube,
@@ -17,12 +22,20 @@ from adinkra import (
     resolve_budget,
     rhombic_dodecahedron,
     rhombic_icosahedron,
+    run_search,
     search_dashings,
     to_matrices,
+    topology_graph,
     vertex_flip,
 )
-from adinkra.dashings import _parity_feasible
-from conftest import disjoint_union, random_valise_graph, raw_feasible_count
+from adinkra.dashings import _solve_odd_quads
+from conftest import (
+    brute_gauge_orbits,
+    brute_orbit_size,
+    disjoint_union,
+    random_valise_graph,
+    raw_feasible_count,
+)
 
 
 def test_gauge_fix_sizes():
@@ -106,12 +119,6 @@ def test_witness_is_deterministic_and_gauge_fixed():
     assert a.count_total is None
 
 
-def test_workers_do_not_change_results():
-    lone = search_dashings(cube(), exhaustive=True, workers=1)
-    pooled = search_dashings(cube(), exhaustive=True, workers=3)
-    assert lone == pooled
-
-
 def test_budget_error():
     with pytest.raises(BudgetError) as info:
         search_dashings(cube(), budget=16)
@@ -137,12 +144,16 @@ def test_pruned_reasons():
 
 
 def test_parity_prune_on_synthetic_system():
-    # x0 = 1, x1 = 1, x0 + x1 = 1 over GF(2) has no solution.
+    # With x_i = 1 when edge i is dashed, x0 = 1, x1 = 1, x0 + x1 = 1
+    # over GF(2) has no solution.  Solutions come back as free-edge bits
+    # with 1 meaning +1, so "edge i dashed" is bit free_pos[i] clear.
     free_pos = {0: 0, 1: 1}
-    assert not _parity_feasible([(0,), (1,), (0, 1)], free_pos)
-    assert _parity_feasible([(0,), (1,)], free_pos)
-    assert _parity_feasible([(0, 1)], free_pos)
-    assert _parity_feasible([], {})
+    assert _solve_odd_quads([(0,), (1,), (0, 1)], free_pos) is None
+    assert _solve_odd_quads([(0,), (1,)], free_pos) == (0b00, [])
+    # One of the two dashed: the smallest solution dashes edge 1 (bit 1
+    # is the more significant), and flipping both gives the other one.
+    assert _solve_odd_quads([(0, 1)], free_pos) == (0b01, [0b11])
+    assert _solve_odd_quads([], {}) == (0, [])
 
 
 def test_hypercube_feasibility_sweep():
@@ -172,10 +183,59 @@ def test_random_feasible_graphs_expand_consistently():
         if len(g.edges) > 10 or not g.edges:
             continue
         res = search_dashings(g, exhaustive=True)
-        raw = raw_feasible_count(g)
-        if res.count_total is not None:
-            assert res.count_total == raw, g.name
-        else:
-            assert res.feasible == (raw > 0)
+        assert res.count_total == raw_feasible_count(g), g.name
         checked += 1
     assert checked >= 10
+
+
+def _assert_matches_brute(g):
+    """Elimination against the brute-force scan of all 2^free gauge-fixed
+    vectors: feasibility, witness, orbit count and total."""
+    full = search_dashings(g, exhaustive=True)
+    count, first = brute_gauge_orbits(g)
+    assert full.feasible == (count > 0), g.name
+    assert (full.witness.signs if full.witness else None) == first, g.name
+    assert full.count_gauge_orbits == count, g.name
+    assert full.count_total == count * brute_orbit_size(g), g.name
+    assert search_dashings(g).witness == full.witness, g.name
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (4, 2), (4, 3), (4, 4), (6, 2)])
+def test_search_classes_match_brute_gauge_scan(d, n):
+    classes = run_search(SearchSpec(d, n)).solutions
+    assert classes
+    for cls in classes:
+        _assert_matches_brute(topology_graph(cls.topology))
+
+
+def _relabel(g, rng: random.Random, tag: int):
+    """The same graph with bosons, fermions and colors renumbered, so
+    the edge order, the gauge forest and the witness position change."""
+    bos = rng.sample(range(1, g.d + 1), g.d)
+    fer = rng.sample(range(1, g.d_hat + 1), g.d_hat)
+    col = rng.sample(range(1, g.n_colors + 1), g.n_colors)
+    edges = (Edge(bos[e.boson - 1], fer[e.fermion - 1], col[e.color - 1], e.sign)
+             for e in g.edges)
+    return ValiseGraph(name=f"{g.name}-{tag}", n_colors=g.n_colors, bosons=g.bosons,
+                       fermions=g.fermions, edges=tuple(sorted(edges)))
+
+
+def test_catalog_graphs_match_brute_gauge_scan():
+    rng = random.Random(17)
+    graphs = [diamond(), cube(), disjoint_union(diamond(), diamond(), "two-diamonds"),
+              disjoint_union(cube(), cube(), "two-cubes")]
+    graphs += [_relabel(cube(), rng, tag) for tag in range(20)]
+    for g in graphs:
+        _assert_matches_brute(g)
+
+
+def test_random_graphs_match_brute_gauge_scan():
+    rng = np.random.default_rng(53)
+    checked = 0
+    for tag in range(300):
+        g = random_valise_graph(rng, tag=tag)
+        if len(g.edges) - len(gauge_fix(g)) > 12:
+            continue
+        _assert_matches_brute(g)
+        checked += 1
+    assert checked >= 200

@@ -10,12 +10,10 @@ from adinkra import (
     format_matrix,
     garden_check,
     hypercube,
-    multiply,
     product_tables,
     rhombic_dodecahedron,
     rhombic_icosahedron,
     to_matrices,
-    transpose,
 )
 from adinkra.garden import as_exact
 
@@ -31,14 +29,6 @@ def test_as_exact_accepts_exact_floats_only():
         as_exact(np.array([[0.5]]))
     with pytest.raises(ValueError, match="2-d"):
         as_exact(np.array([1, 2]))
-
-
-def test_transpose_and_multiply():
-    a = [[1, 0, -1], [0, 1, 0]]
-    assert transpose(a).tolist() == [[1, 0], [0, 1], [-1, 0]]
-    assert multiply(a, transpose(a)).tolist() == [[2, 0], [0, 1]]
-    with pytest.raises(ValueError, match="inner dimensions"):
-        multiply(a, a)
 
 
 def test_garden_check_passes_hypercubes():
