@@ -16,7 +16,8 @@ for i, m in enumerate(mats, start=1):
     print(format_matrix(m, indent="  "))
 
 # The garden relations demand L_I R_J + L_J R_I = 2 delta_IJ and the
-# transposed family likewise; the report carries exact residuals.
+# transposed family likewise; the report lists every nonzero residual
+# cell as a violation.
 report = garden_check(mats)
 print(f"garden: left_ok={report.left_ok} right_ok={report.right_ok}")
 

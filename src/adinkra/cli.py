@@ -19,7 +19,7 @@ import sys
 from . import catalog, dashings, dot, filters, fixtures, garden
 from . import graph as gm
 from . import search as topo
-from .errors import AdinkraError, BudgetError, GraphFormatError
+from .errors import AdinkraError, GraphFormatError
 
 
 def _load_graph(source: str) -> gm.ValiseGraph:
@@ -81,8 +81,9 @@ def _candidacy_lines(rep: filters.CandidacyReport) -> list[str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
+    mats = gm.to_matrices(g) if g.d == g.d_hat else None
     rep = filters.candidacy(g)
-    report = garden.garden_check(gm.to_matrices(g)) if g.d == g.d_hat else None
+    report = garden.garden_check(mats) if mats is not None else None
     passed = rep.is_candidate and report is not None and report.ok
     if args.json is not None:
         _emit_json(
@@ -377,16 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphFormatError, AdinkraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (AdinkraError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,6 @@ gauge-fixed vectors.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 from . import graph as gm
@@ -107,26 +106,7 @@ def gauge_fix(g: ValiseGraph) -> tuple[int, ...]:
     problems = gm.validate(g)
     if problems:
         raise ValueError("graph is not valid: " + "; ".join(problems))
-    adj: dict[Node, list[tuple[int, Node]]] = {v.node: [] for v in g.vertices()}
-    for idx, e in enumerate(g.edges):
-        b, f = ("B", e.boson), ("F", e.fermion)
-        adj[b].append((idx, f))
-        adj[f].append((idx, b))
-    seen: set[Node] = set()
-    forest: list[int] = []
-    for root in adj:
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for idx, w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    forest.append(idx)
-                    queue.append(w)
-    return tuple(sorted(forest))
+    return tuple(sorted(idx for idx, _, _ in gm.spanning_forest(g)))
 
 
 def odd_quad_check(

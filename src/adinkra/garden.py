@@ -1,18 +1,21 @@
 """Exact verification of the garden algebra relations.
 
-Given signed permutation-like matrices L_1..L_N (all d x dhat) and their
-transposes R_I = L_I^T, the relations are
+Given matrices L_1..L_N (all d x dhat) and their transposes R_I = L_I^T,
+the relations are
 
     left:   L_I R_J + L_J R_I = 2 delta_IJ I_d      for all I <= J
     right:  R_I L_J + R_J L_I = 2 delta_IJ I_dhat   for all I <= J
 
-Everything is computed over int64 and compared exactly; a residual is
-the difference between the computed sum and its target, so a relation
-holds iff its residual is the zero matrix.
+Each L_I is read as a signed partial permutation, and other matrices
+are refused; a cell of either sum then adds at most two +-1 terms, so
+both families are evaluated cell by cell, exactly, in O(N^2 (d + dhat)).
+Every nonzero residual cell (sum minus target) is reported as a
+Violation, so a relation holds iff none is reported for it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -28,6 +31,15 @@ class Violation(NamedTuple):
     row: int  # 1-based
     col: int
     value: int  # nonzero residual entry
+
+
+class SignedPermutation(NamedTuple):
+    """A matrix with entries in {-1, 0, 1} and at most one nonzero per
+    row and per column, held by its nonzeros (all indices 0-based)."""
+
+    shape: tuple[int, int]
+    rows: dict[int, tuple[int, int]]  # row -> (col, sign)
+    cols: dict[int, tuple[int, int]]  # col -> (row, sign)
 
 
 def as_exact(matrix: object) -> np.ndarray:
@@ -55,8 +67,6 @@ class GardenReport:
     n_colors: int
     d: int
     d_hat: int
-    left_residuals: dict[Pair, np.ndarray]
-    right_residuals: dict[Pair, np.ndarray]
     violations: tuple[Violation, ...]
 
     @property
@@ -105,50 +115,68 @@ def _check_shapes(matrices: Sequence[object]) -> list[np.ndarray]:
     return mats
 
 
-def _residual_violations(
-    side: str, pair: Pair, residual: np.ndarray
-) -> list[Violation]:
+def signed_permutations(matrices: Sequence[object]) -> list[SignedPermutation]:
+    """Read each matrix as a signed partial permutation; ValueError for
+    an empty list, unequal shapes, inexact entries, entries outside -1,
+    0, 1, or two nonzeros in one row (else column, the first named)."""
     out = []
-    for r, c in zip(*np.nonzero(residual)):
-        out.append(
-            Violation(side, pair[0], pair[1], int(r) + 1, int(c) + 1,
-                      int(residual[r, c]))
-        )
+    for k, a in enumerate(_check_shapes(matrices), start=1):
+        rs, cs = np.nonzero(a)
+        rs, cs, vals = rs.tolist(), cs.tolist(), a[rs, cs].tolist()
+        bad = sorted({v for v in vals if v not in (-1, 1)})
+        if bad:
+            raise ValueError(f"matrix {k} has entries outside -1, 0, 1: {bad}")
+        rows = dict(zip(rs, zip(cs, vals)))
+        cols = dict(zip(cs, zip(rs, vals)))
+        for what, idx, held in (("row", rs, rows), ("column", cs, cols)):
+            if len(held) < len(idx):
+                twice = min(i for i, n in Counter(idx).items() if n > 1)
+                raise ValueError(f"matrix {k} has two nonzeros in {what} {twice + 1}")
+        out.append(SignedPermutation(a.shape, rows, cols))
     return out
 
 
+def _pair_products(ls: list[SignedPermutation], doubled: bool):
+    """Yield (side, I, J, size, cells) for every pair I <= J of the left
+    family (X = L, size d), then of the right one (X = R, size dhat).
+
+    cells maps 0-based (row, col) to the value of X_I X_J^T + X_J X_I^T,
+    the diagonal term X_I X_I^T taken once unless doubled.  Row r of X_x
+    has at most one nonzero, in column m, and column m of X_y at most
+    one, in row c, so a term adds at most one cell (r, c) per row.
+    """
+    d, dh = ls[0].shape
+    rs = [SignedPermutation((dh, d), p.cols, p.rows) for p in ls]
+    for side, size, xs in (("left", d, ls), ("right", dh, rs)):
+        for i, j in color_pairs(len(xs)):
+            cells: dict[tuple[int, int], int] = {}
+            for x, y in ((i, j), (j, i)) if doubled or i != j else ((i, j),):
+                second = xs[y - 1].cols
+                for row, (mid, s1) in xs[x - 1].rows.items():
+                    hit = second.get(mid)
+                    if hit is not None:
+                        col, s2 = hit
+                        cells[(row, col)] = cells.get((row, col), 0) + s1 * s2
+            yield side, i, j, size, cells
+
+
 def garden_check(matrices: Sequence[object]) -> GardenReport:
-    """Check both relation families exactly; residuals are kept whole.
+    """Check both relation families exactly.
 
     Violations are ordered by (side, I, J, row, col) with the left
-    family first, all indices 1-based.
+    family first, all indices 1-based.  Raises ValueError unless the
+    matrices are signed partial permutations of one shape.
     """
-    mats = _check_shapes(matrices)
-    d, dh = mats[0].shape
-    rs = [m.T for m in mats]
-    left_res: dict[Pair, np.ndarray] = {}
-    right_res: dict[Pair, np.ndarray] = {}
+    ls = signed_permutations(matrices)
     violations: list[Violation] = []
-    for side, res_map, eye, first, second in (
-        ("left", left_res, 2 * np.eye(d, dtype=np.int64), mats, rs),
-        ("right", right_res, 2 * np.eye(dh, dtype=np.int64), rs, mats),
-    ):
-        for pair in color_pairs(len(mats)):
-            i, j = pair
-            a = first[i - 1] @ second[j - 1] + first[j - 1] @ second[i - 1]
-            target = eye if i == j else np.zeros_like(a)
-            residual = a - target
-            residual.setflags(write=False)
-            res_map[pair] = residual
-            violations.extend(_residual_violations(side, pair, residual))
-    return GardenReport(
-        n_colors=len(mats),
-        d=d,
-        d_hat=dh,
-        left_residuals=left_res,
-        right_residuals=right_res,
-        violations=tuple(violations),
-    )
+    for side, i, j, size, cells in _pair_products(ls, doubled=True):
+        if i == j:
+            for r in range(size):
+                cells[(r, r)] = cells.get((r, r), 0) - 2
+        violations += [Violation(side, i, j, r + 1, c + 1, v)
+                       for (r, c), v in sorted(cells.items()) if v]
+    d, dh = ls[0].shape
+    return GardenReport(len(ls), d, dh, tuple(violations))
 
 
 def product_tables(
@@ -161,19 +189,16 @@ def product_tables(
     "L<I>*R<J> + L<J>*R<I>" off it (the diagonal product is printed
     once, not doubled).  The right side swaps the roles of L and R.
     """
-    mats = _check_shapes(matrices)
-    rs = [m.T for m in mats]
-    left, right = [], []
-    for i, j in color_pairs(len(mats)):
-        li, lj = mats[i - 1], mats[j - 1]
-        ri, rj = rs[i - 1], rs[j - 1]
-        if i == j:
-            left.append((f"L{i}*R{i}", li @ ri))
-            right.append((f"R{i}*L{i}", ri @ li))
-        else:
-            left.append((f"L{i}*R{j} + L{j}*R{i}", li @ rj + lj @ ri))
-            right.append((f"R{i}*L{j} + R{j}*L{i}", ri @ lj + rj @ li))
-    return left, right
+    tables: dict[str, list[tuple[str, np.ndarray]]] = {"left": [], "right": []}
+    ls = signed_permutations(matrices)
+    for side, i, j, size, cells in _pair_products(ls, doubled=False):
+        m = np.zeros((size, size), dtype=np.int64)
+        for (r, c), v in cells.items():
+            m[r, c] = v
+        x, y = ("L", "R") if side == "left" else ("R", "L")
+        label = f"{x}{i}*{y}{i}" if i == j else f"{x}{i}*{y}{j} + {x}{j}*{y}{i}"
+        tables[side].append((label, m))
+    return tables["left"], tables["right"]
 
 
 def format_matrix(matrix: object, indent: str = "") -> str:

@@ -21,14 +21,23 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GraphFormatError
+from .garden import signed_permutations
 
 Node = tuple[str, int]
+
+# Checked before anything is allocated in proportion to them: the filters
+# and the garden check loop over color pairs, and to_matrices allocates
+# n_colors * d * d_hat int64 cells (hypercube-16 would need 137 GB).
+MAX_COLORS = 256
+MAX_ROW_LENGTH = 1 << 16
+MAX_MATRIX_CELLS = 1 << 24
 
 
 class Statistics(enum.Enum):
@@ -120,6 +129,9 @@ def _check_label_row(what: str, labels: object) -> list[str]:
         isinstance(x, str) for x in labels
     ):
         problems.append(f"{what} labels must be a tuple of strings")
+    elif len(labels) > MAX_ROW_LENGTH:
+        problems.append(f"{what} row has {len(labels)} labels, above the "
+                        f"limit MAX_ROW_LENGTH = {MAX_ROW_LENGTH}")
     return problems
 
 
@@ -136,6 +148,9 @@ def validate(g: ValiseGraph) -> list[str]:
     )
     if g.n_colors < 1:
         problems.append(f"n_colors must be at least 1, got {g.n_colors}")
+    elif g.n_colors > MAX_COLORS:
+        problems.append(f"n_colors {g.n_colors} is above the limit "
+                        f"MAX_COLORS = {MAX_COLORS}")
     d, dh = g.d, g.d_hat
 
     for pos, e in enumerate(g.edges, start=1):
@@ -182,13 +197,18 @@ def to_matrices(g: ValiseGraph) -> list[np.ndarray]:
     L_I[i, j] is the sign of the color-(I+1) edge joining boson i+1 and
     fermion j+1, or 0 when no such edge exists.  Raises ValueError when
     the graph is not a well-formed valise graph, since the matrices
-    would not be faithful.
+    would not be faithful, or when they would hold more than
+    MAX_MATRIX_CELLS cells.
     """
     problems = validate(g)
     if problems:
         raise ValueError(
             "graph is not a valid valise graph: " + "; ".join(problems)
         )
+    cells = g.n_colors * g.d * g.d_hat
+    if cells > MAX_MATRIX_CELLS:
+        raise ValueError(f"{g.n_colors} x {g.d} x {g.d_hat} = {cells} matrix cells is "
+                         f"above the limit MAX_MATRIX_CELLS = {MAX_MATRIX_CELLS}")
     mats = [np.zeros((g.d, g.d_hat), dtype=np.int64) for _ in range(g.n_colors)]
     for e in g.edges:
         mats[e.color - 1][e.boson - 1, e.fermion - 1] = e.sign
@@ -208,46 +228,54 @@ def from_matrices(
     Each matrix must have entries in {-1, 0, 1} with at most one nonzero
     per row and per column; shapes must agree across colors.
     """
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    arrs = [np.asarray(m, dtype=np.int64) for m in matrices]
-    d, dh = arrs[0].shape
-    edges = []
-    for ci, a in enumerate(arrs, start=1):
-        if a.ndim != 2 or a.shape != (d, dh):
-            raise ValueError(
-                f"matrix {ci} has shape {a.shape}, expected {(d, dh)}"
-            )
-        bad = np.setdiff1d(np.unique(a), [-1, 0, 1])
-        if bad.size:
-            raise ValueError(
-                f"matrix {ci} has entries outside -1, 0, 1: {bad.tolist()}"
-            )
-        nz = np.abs(a)
-        rows = nz.sum(axis=1)
-        cols = nz.sum(axis=0)
-        if (rows > 1).any():
-            r = int(np.argmax(rows > 1)) + 1
-            raise ValueError(f"matrix {ci} has two nonzeros in row {r}")
-        if (cols > 1).any():
-            c = int(np.argmax(cols > 1)) + 1
-            raise ValueError(f"matrix {ci} has two nonzeros in column {c}")
-        for i, j in zip(*np.nonzero(a)):
-            edges.append(Edge(int(i) + 1, int(j) + 1, ci, int(a[i, j])))
+    perms = signed_permutations(matrices)
+    d, dh = perms[0].shape
+    edges = [
+        Edge(r + 1, c + 1, ci, s)
+        for ci, p in enumerate(perms, start=1)
+        for r, (c, s) in p.rows.items()
+    ]
     if boson_labels is None:
         boson_labels = [str(i + 1) for i in range(d)]
     if fermion_labels is None:
         fermion_labels = [str(j + 1) for j in range(dh)]
     if len(boson_labels) != d or len(fermion_labels) != dh:
         raise ValueError("label counts do not match matrix shape")
-    g = ValiseGraph(
+    return ValiseGraph(
         name=name,
-        n_colors=len(arrs),
+        n_colors=len(perms),
         bosons=tuple(boson_labels),
         fermions=tuple(fermion_labels),
         edges=tuple(sorted(edges)),
     )
-    return g
+
+
+def spanning_forest(g: ValiseGraph) -> list[tuple[int, Node, Node]]:
+    """Breadth-first spanning forest, colors ignored: roots in vertex
+    order, each tree grown first in first out, a vertex's edges tried in
+    edge order.  Returns the tree edges as (0-based edge index, parent,
+    child) in discovery order, so a parent is a root or an earlier child.
+    """
+    adj: dict[Node, list[tuple[int, Node]]] = {v.node: [] for v in g.vertices()}
+    for idx, e in enumerate(g.edges):
+        b, f = ("B", e.boson), ("F", e.fermion)
+        adj[b].append((idx, f))
+        adj[f].append((idx, b))
+    seen: set[Node] = set()
+    forest: list[tuple[int, Node, Node]] = []
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for idx, w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    forest.append((idx, u, w))
+                    queue.append(w)
+    return forest
 
 
 def connected_components(g: ValiseGraph) -> list[frozenset[Node]]:
@@ -256,26 +284,13 @@ def connected_components(g: ValiseGraph) -> list[frozenset[Node]]:
     Isolated vertices form singleton components.  Components are sorted
     by their smallest member for determinism.
     """
-    adj: dict[Node, list[Node]] = {v.node: [] for v in g.vertices()}
-    for e in g.edges:
-        b, f = ("B", e.boson), ("F", e.fermion)
-        adj[b].append(f)
-        adj[f].append(b)
-    seen: set[Node] = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        stack, comp = [start], set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(w for w in adj[v] if w not in comp)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return sorted(comps, key=lambda c: min(c))
+    root = {v.node: v.node for v in g.vertices()}
+    for _, parent, child in spanning_forest(g):
+        root[child] = root[parent]
+    comps: dict[Node, set[Node]] = {}
+    for node, r in root.items():
+        comps.setdefault(r, set()).add(node)
+    return sorted((frozenset(c) for c in comps.values()), key=min)
 
 
 def is_connected(g: ValiseGraph) -> bool:

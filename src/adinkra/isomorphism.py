@@ -8,8 +8,8 @@ to vertex sign flips (the gauge of the garden relations).
 
 The gauge test per unsigned isomorphism is exact, not sampled: the
 ratio of target sign to source sign defines a labeling of the source
-edges, and it extends to a vertex potential iff BFS potentials agree on
-every non-tree edge.
+edges, and it extends to a vertex potential iff the potentials read off
+a spanning forest agree on every non-tree edge.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from .graph import Node, ValiseGraph
+from .graph import ValiseGraph, spanning_forest
 
 SIGN_MODES = ("ignore", "exact", "gauge")
 
@@ -148,39 +148,24 @@ def _gauge_compatible(g1: ValiseGraph, g2: ValiseGraph, iso: Isomorphism) -> boo
     """Do the two sign patterns differ by a vertex sign flip?
 
     The per-edge ratio target/source must be a coboundary eps_u * eps_w;
-    equivalently BFS potentials must be consistent on every edge.  The
-    ratio is kept per edge, since parallel edges of different colors
-    join the same two vertices with independent signs.
+    equivalently the potentials propagated along a spanning forest must
+    be consistent on every edge.  The ratio is kept per edge, since
+    parallel edges of different colors join the same two vertices with
+    independent signs.
     """
     s2 = {(e.boson, e.fermion, e.color): e.sign for e in g2.edges}
-    adj: dict[Node, list[tuple[Node, int]]] = {v.node: [] for v in g1.vertices()}
-    for e in g1.edges:
-        image = (
-            iso.bosons[e.boson - 1],
-            iso.fermions[e.fermion - 1],
-            iso.colors[e.color - 1],
-        )
-        r = s2[image] * e.sign  # signs are +-1, so ratio = product
-        b, f = ("B", e.boson), ("F", e.fermion)
-        adj[b].append((f, r))
-        adj[f].append((b, r))
-    pot: dict[Node, int] = {}
-    for root in adj:
-        if root in pot:
-            continue
-        pot[root] = 1
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w, r in adj[u]:
-                expected = pot[u] * r
-                if w in pot:
-                    if pot[w] != expected:
-                        return False
-                else:
-                    pot[w] = expected
-                    queue.append(w)
-    return True
+    ratio = [  # signs are +-1, so ratio = product
+        s2[(iso.bosons[e.boson - 1], iso.fermions[e.fermion - 1],
+            iso.colors[e.color - 1])] * e.sign
+        for e in g1.edges
+    ]
+    pot = {v.node: 1 for v in g1.vertices()}
+    for idx, parent, child in spanning_forest(g1):
+        pot[child] = pot[parent] * ratio[idx]
+    return all(
+        pot[("B", e.boson)] * pot[("F", e.fermion)] == r
+        for e, r in zip(g1.edges, ratio)
+    )
 
 
 def find_isomorphism(

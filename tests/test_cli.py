@@ -70,6 +70,27 @@ def test_malformed_json_is_usage_error(capsys, tmp_path):
     assert "line 1 column 2" in err  # parse location is preserved
 
 
+def test_oversized_inputs_are_refused_before_allocating(capsys, monkeypatch):
+    # Without the limits, check would build a 10^12-element color set
+    # and loop over 10^24 color pairs.
+    huge = json.dumps({"name": "huge", "colors": 10**12, "bosons": [],
+                       "fermions": [], "edges": []})
+    monkeypatch.setattr("sys.stdin", io.StringIO(huge))
+    code, out, err = run(capsys, "check", "-")
+    assert code == 2 and out == ""
+    assert "above the limit MAX_COLORS" in err
+    # One 20000 x 20000 matrix would need 3.2 GB of int64 cells.
+    labels = [f"v{k}" for k in range(20000)]
+    wide = json.dumps({"name": "wide", "colors": 1, "bosons": labels,
+                       "fermions": labels,
+                       "edges": [{"b": 1, "f": 1, "c": 1, "s": 1}]})
+    for command in ("check", "matrices", "garden"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(wide))
+        code, out, err = run(capsys, command, "-")
+        assert code == 2 and out == "", command
+        assert "above the limit MAX_MATRIX_CELLS" in err, command
+
+
 def test_matrices_json_round_trip(capsys):
     code, out, _ = run(capsys, "matrices", "builtin:diamond", "--json")
     assert code == 0

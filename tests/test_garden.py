@@ -1,12 +1,19 @@
-"""Garden relations: exact products, residuals, violation reporting."""
+"""Garden relations: exact products, residuals, violation reporting.
+
+The signed-permutation kernel is compared against the dense int64
+matrix products of conftest on builtins, hypercubes and random graphs.
+"""
 
 import numpy as np
 import pytest
 
 from adinkra import (
+    BUILTIN_NAMES,
     Violation,
+    builtin,
     color_pairs,
     diamond,
+    from_matrices,
     format_matrix,
     garden_check,
     hypercube,
@@ -16,6 +23,7 @@ from adinkra import (
     to_matrices,
 )
 from adinkra.garden import as_exact
+from conftest import dense_garden_check, dense_product_tables, random_valise_graph
 
 
 def test_color_pairs_order():
@@ -51,9 +59,15 @@ def test_garden_check_flags_undashed_diamond():
 
 def test_garden_check_residual_matrices():
     rep = garden_check(to_matrices(diamond()))
-    assert rep.left_residuals[(1, 1)].shape == (2, 2)
-    assert not rep.left_residuals[(1, 1)].any()
-    assert sorted(rep.left_residuals) == color_pairs(2)
+    assert (rep.n_colors, rep.d, rep.d_hat) == (2, 2, 2)
+    assert rep.violations == ()
+    # Residual cells of the undashed diamond lie in the 2 x 2 residuals
+    # of the pairs color_pairs(2) names, and each cell is reported once.
+    bad = garden_check(to_matrices(diamond().with_signs([1, 1, 1, 1])))
+    assert {(v.color_i, v.color_j) for v in bad.violations} <= set(color_pairs(2))
+    assert all(1 <= v.row <= 2 and 1 <= v.col <= 2 for v in bad.violations)
+    cells = [v[:5] for v in bad.violations]
+    assert len(cells) == len(set(cells))
 
 
 def test_rd_split_verdict():
@@ -61,8 +75,8 @@ def test_rd_split_verdict():
     assert rep.left_ok and not rep.right_ok and not rep.ok
     assert all(v.side == "right" for v in rep.violations)
     # Non-square case: left residuals are 6x6, right are 8x8.
-    assert rep.left_residuals[(1, 1)].shape == (6, 6)
-    assert rep.right_residuals[(1, 1)].shape == (8, 8)
+    assert (rep.d, rep.d_hat) == (6, 8)
+    assert max(max(v.row, v.col) for v in rep.violations) == 8
 
 
 def test_ri_fails_both_sides():
@@ -116,7 +130,51 @@ def test_diagonal_left_right_equivalence_for_signed_permutations():
             if keep[r]:
                 m[r, cols[r]] = rng.choice((-1, 1))
         rep = garden_check([m])
-        left = rep.left_residuals[(1, 1)]
-        right = rep.right_residuals[(1, 1)]
-        assert (not left.any()) == (not right.any())
-        assert rep.ok == (not left.any())
+        left = [v for v in rep.violations if v.side == "left"]
+        right = [v for v in rep.violations if v.side == "right"]
+        assert (not left) == (not right)
+        assert rep.ok == (not left)
+
+
+def _assert_matches_dense(mats, tag):
+    assert garden_check(mats) == dense_garden_check(mats), tag
+    for sparse, dense in zip(product_tables(mats), dense_product_tables(mats)):
+        assert len(sparse) == len(dense), tag
+        for (lab, m), (dense_lab, dense_m) in zip(sparse, dense):
+            assert lab == dense_lab, tag
+            assert m.dtype == dense_m.dtype and m.shape == dense_m.shape, tag
+            assert np.array_equal(m, dense_m), (tag, lab)
+
+
+def test_kernel_matches_dense_on_builtins_and_hypercubes():
+    graphs = [builtin(name) for name in BUILTIN_NAMES if "<" not in name]
+    graphs += [hypercube(n) for n in range(1, 9)]
+    for g in graphs:
+        _assert_matches_dense(to_matrices(g), g.name)
+
+
+def test_kernel_matches_dense_on_random_graphs():
+    rng = np.random.default_rng(2024)
+    rectangular = 0
+    for t in range(320):
+        g = random_valise_graph(rng, max_d=6, max_colors=4, tag=t)
+        if t % 2:
+            g = g.with_signs([int(s) for s in rng.choice((-1, 1), len(g.edges))])
+        rectangular += g.d != g.d_hat
+        _assert_matches_dense(to_matrices(g), g.name)
+    assert rectangular >= 100
+
+
+@pytest.mark.parametrize(
+    "mats, message",
+    [
+        ([[[2, 0], [0, 1]]], "matrix 1 has entries outside -1, 0, 1: \\[2\\]"),
+        ([[[1, 0], [0, 1]], [[1, -1], [0, 0]]], "matrix 2 has two nonzeros in row 1"),
+        ([[[0, 1], [0, -1]]], "matrix 1 has two nonzeros in column 2"),
+        ([[[1, 1], [1, 0]]], "matrix 1 has two nonzeros in row 1"),
+    ],
+)
+def test_non_signed_permutations_are_refused(mats, message):
+    for f in (garden_check, product_tables, lambda m: from_matrices("x", m)):
+        with pytest.raises(ValueError, match=message):
+            f(mats)

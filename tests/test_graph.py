@@ -20,6 +20,7 @@ from adinkra import (
     to_matrices,
     validate,
 )
+from adinkra.graph import MAX_COLORS, MAX_ROW_LENGTH, spanning_forest
 from conftest import disjoint_union, random_valise_graph
 
 
@@ -76,6 +77,21 @@ def test_to_matrices_matches_edge_signs():
     assert l1.tolist() == [[1, 0], [0, 1]]
     assert l2.tolist() == [[0, 1], [-1, 0]]
     assert not l1.flags.writeable
+
+
+def test_validate_size_limits():
+    def empty(n_colors, d=0):
+        return ValiseGraph("big", n_colors, ("b",) * d, (), ())
+
+    assert validate(empty(MAX_COLORS)) == []
+    assert validate(empty(MAX_COLORS + 1)) == [
+        f"n_colors {MAX_COLORS + 1} is above the limit MAX_COLORS = {MAX_COLORS}"
+    ]
+    assert validate(empty(1, MAX_ROW_LENGTH)) == []
+    assert validate(empty(1, MAX_ROW_LENGTH + 1)) == [
+        f"boson row has {MAX_ROW_LENGTH + 1} labels, above the limit "
+        f"MAX_ROW_LENGTH = {MAX_ROW_LENGTH}"
+    ]
 
 
 def test_to_matrices_rejects_invalid():
@@ -166,6 +182,21 @@ def test_connected_components():
     # Isolated vertices are their own components.
     lonely = ValiseGraph("lone", 1, ("a", "b"), ("x",), (Edge(1, 1, 1, 1),))
     assert len(connected_components(lonely)) == 2
+
+
+def test_spanning_forest_is_breadth_first_in_edge_order():
+    # Roots in vertex order, grown first in first out, edges tried in
+    # edge order: gauge_fix, and so every dashing witness, reads this
+    # exact forest.
+    two = disjoint_union(diamond(), diamond(), "pair")
+    assert spanning_forest(two) == [
+        (0, ("B", 1), ("F", 1)),
+        (1, ("B", 1), ("F", 2)),
+        (2, ("F", 1), ("B", 2)),
+        (4, ("B", 3), ("F", 3)),
+        (5, ("B", 3), ("F", 4)),
+        (6, ("F", 3), ("B", 4)),
+    ]
 
 
 def test_with_signs_validates_length():

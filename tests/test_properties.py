@@ -1,0 +1,105 @@
+"""Property tests: each fast path against its slow oracle on inputs
+drawn by hypothesis (skipped when hypothesis is not installed).
+
+- the signed-permutation garden kernel against the dense products;
+- the gauge-fix forest: acyclic, spanning, E - V + #components free;
+- the forest-based gauge test against the 2^V vertex-flip scan.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from adinkra import (
+    Edge,
+    ValiseGraph,
+    from_matrices,
+    garden_check,
+    gauge_fix,
+    product_tables,
+)
+from adinkra.isomorphism import Isomorphism, _gauge_compatible
+from conftest import brute_gauge_compatible, dense_garden_check, dense_product_tables
+
+# Fixed example sequence, and no example database written to disk.
+PROPERTY = dict(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def signed_partial_permutations(draw, max_side=6, max_colors=4):
+    """One to max_colors matrices of one random shape, each with
+    entries in {-1, 0, 1} and at most one nonzero per row and column."""
+    d = draw(st.integers(1, max_side))
+    dh = draw(st.integers(1, max_side))
+    mats = []
+    for _ in range(draw(st.integers(1, max_colors))):
+        m = np.zeros((d, dh), dtype=np.int64)
+        rows = draw(st.permutations(range(d)))
+        cols = draw(st.permutations(range(dh)))
+        for r, c in zip(rows[:draw(st.integers(0, min(d, dh)))], cols):
+            m[r, c] = draw(st.sampled_from((-1, 1)))
+        mats.append(m)
+    return mats
+
+
+@settings(max_examples=300, **PROPERTY)
+@given(signed_partial_permutations())
+def test_kernel_equals_dense_oracle(mats):
+    assert garden_check(mats) == dense_garden_check(mats)
+    for sparse, dense in zip(product_tables(mats), dense_product_tables(mats)):
+        assert [lab for lab, _ in sparse] == [lab for lab, _ in dense]
+        for (_, m), (_, dense_m) in zip(sparse, dense):
+            assert m.shape == dense_m.shape and np.array_equal(m, dense_m)
+
+
+@settings(max_examples=200, **PROPERTY)
+@given(signed_partial_permutations(max_side=8))
+def test_gauge_fix_leaves_cycle_rank_free(mats):
+    g = from_matrices("drawn", mats)
+    forest = gauge_fix(g)
+    parent = {v.node: v.node for v in g.vertices()}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for idx in forest:
+        a, b = find(("B", g.edges[idx].boson)), find(("F", g.edges[idx].fermion))
+        assert a != b  # a forest edge never closes a cycle
+        parent[a] = b
+    # ... and the forest spans: every edge joins one forest component.
+    assert all(find(("B", e.boson)) == find(("F", e.fermion)) for e in g.edges)
+    components = len({find(node) for node in parent})
+    free = len(g.edges) - len(forest)
+    assert free == len(g.edges) - (g.d + g.d_hat) + components
+
+
+@settings(max_examples=200, **PROPERTY)
+@given(signed_partial_permutations(max_side=4), st.data())
+def test_gauge_compatible_agrees_with_vertex_flip_scan(mats, data):
+    g1 = from_matrices("drawn", mats)
+    bosons = data.draw(st.permutations(range(1, g1.d + 1)))
+    fermions = data.draw(st.permutations(range(1, g1.d_hat + 1)))
+    colors = data.draw(st.permutations(range(1, g1.n_colors + 1)))
+    iso = Isomorphism(tuple(bosons), tuple(fermions), tuple(colors))
+    # The image under a vertex flip, or with signs drawn independently.
+    flip = data.draw(st.booleans())
+    eps = {
+        node: data.draw(st.sampled_from((-1, 1)))
+        for node in [("B", i) for i in range(1, g1.d + 1)]
+        + [("F", j) for j in range(1, g1.d_hat + 1)]
+    }
+    edges = []
+    for e in g1.edges:
+        if flip:
+            sign = eps[("B", e.boson)] * eps[("F", e.fermion)] * e.sign
+        else:
+            sign = data.draw(st.sampled_from((-1, 1)))
+        edges.append(Edge(bosons[e.boson - 1], fermions[e.fermion - 1],
+                          colors[e.color - 1], sign))
+    g2 = ValiseGraph("image", g1.n_colors, g1.bosons, g1.fermions,
+                     tuple(sorted(edges)))
+    assert _gauge_compatible(g1, g2, iso) == brute_gauge_compatible(g1, g2, iso)
