@@ -3,10 +3,11 @@
 from adinkra import SearchSpec, canonical_form, cube, diamond, run_search
 
 # Colors are perfect matchings between d bosons and d fermions; color 1
-# is pinned to the identity, the rest range over all permutations.
+# is pinned to the identity, the rest are drawn from the fixed-point-free
+# involutions, and every other raw candidate is counted as pruned.
 for d, n in ((2, 2), (4, 2), (4, 3)):
     out = run_search(SearchSpec(d, n))
-    print(f"d={d}, colors={n}: scanned {out.scanned} raw candidates")
+    print(f"d={d}, colors={n}: scanned {out.raw_size} raw candidates")
     for reason, count in out.pruned:
         print(f"  pruned {count}: {reason}")
     for k, sol in enumerate(out.solutions, start=1):

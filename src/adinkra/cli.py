@@ -229,7 +229,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         _emit_json(obj, args.json)
         return 0 if shown else 1
     print(f"topology search: d={spec.d}, colors={spec.n_colors}")
-    print(f"scanned: {outcome.scanned} raw candidates (color 1 = identity)")
+    print(f"scanned: {outcome.raw_size} raw candidates (color 1 = identity)")
     if outcome.pruned:
         print("pruned:")
         for reason, count in outcome.pruned:

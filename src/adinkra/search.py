@@ -16,6 +16,13 @@ the quad candidacy filter lifted to permutation level; the tests
 confirm pruned and unpruned searches agree, as does the acceptance
 cross-check.
 
+The search never builds a pruned candidate.  Relative to color 1 every
+later color must be a fixed-point-free involution, so colors 2..N are
+drawn from those (3 at d = 4, 15 at d = 6, 105 at d = 8), and a choice
+is kept only if it is one relative to every earlier color too.  The
+leaves keep their positions in the raw space, and the pruned count is
+the raw candidates that were never generated.
+
 Surviving candidates are grouped by canonical_form: the lexicographic
 minimum, over color orders and boson relabelings, of the relative
 permutations to a base color.  It is computed by branch and bound
@@ -48,12 +55,6 @@ def _inverse(p: Perm) -> Perm:
     for i, v in enumerate(p):
         inv[v] = i
     return tuple(inv)
-
-
-def _relative(p: Perm, q: Perm) -> Perm:
-    """The boson permutation q^-1 then p, i.e. i -> q^-1(p(i))."""
-    qinv = _inverse(q)
-    return tuple(qinv[v] for v in p)
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
@@ -95,7 +96,7 @@ class TopologyClass:
 class SearchOutcome:
     spec: SearchSpec
     solutions: tuple[TopologyClass, ...]
-    scanned: int
+    raw_size: int
     pruned: tuple[tuple[str, int], ...]  # (reason, raw candidate count)
 
     def connected_solutions(self) -> tuple[TopologyClass, ...]:
@@ -105,7 +106,7 @@ class SearchOutcome:
         return {
             "d": self.spec.d,
             "colors": self.spec.n_colors,
-            "scanned": self.scanned,
+            "scanned": self.raw_size,
             "pruned": {reason: count for reason, count in self.pruned},
             "solutions": [
                 {
@@ -282,50 +283,35 @@ def canonical_form(topology: Topology | ValiseGraph) -> Topology:
     return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(n - 1))
 
 
-def enumerate_topologies(spec: SearchSpec, prune: bool = True,
-                         budget: int | None = None):
-    """Yield candidate topologies, sigma_1 = identity, in lexicographic
-    order of the remaining permutation choices."""
-    budget = resolve_budget(budget, TOPOLOGY_BUDGET)
-    if spec.raw_size > budget:
-        raise BudgetError(spec.raw_size, budget, what="topology enumeration")
-    perms = list(itertools.permutations(range(spec.d)))
-    identity = tuple(range(spec.d))
-
-    def rec(chosen: list[Perm]):
-        if len(chosen) == spec.n_colors:
-            yield tuple(chosen)
-            return
-        for p in perms:
-            if prune and not all(
-                is_fpf_involution(_relative(p, q)) for q in chosen
-            ):
-                continue
-            chosen.append(p)
-            yield from rec(chosen)
-            chosen.pop()
-
-    yield from rec([identity])
-
-
 _SUPPORT_REASON = "relative permutation not a fixed-point-free involution"
 
 
 def _scan(
     spec: SearchSpec, prune: bool
 ) -> tuple[dict[Topology, tuple[int, int, Topology]], dict[str, int]]:
-    """Enumerate every candidate, sigma_1 = identity.
+    """Enumerate the candidates that pass the support rule, sigma_1 =
+    identity.
+
+    Colors 2..N are drawn from the fixed-point-free involutions of
+    range(d), or from every permutation when prune is off.  A choice p
+    is kept if q . p is also a fixed-point-free involution for every
+    earlier color q after the first; as q is an involution, q . p is p
+    relative to q.
 
     Returns {class_key: (first_index, multiplicity, topology)} in order
     of first index, and pruned counts.  Candidate indices are mixed-radix
-    positions in the full (d!)^(N-1) space; a prefix pruned at level L
-    accounts for its whole subtree.
+    positions in the full (d!)^(N-1) space, each digit the lexicographic
+    rank of a permutation.  Every raw candidate is either a leaf or
+    pruned at one level, so raw_size minus the leaves is the pruned
+    count.
     """
-    perms = list(itertools.permutations(range(spec.d)))
-    n_perms = len(perms)
     levels = spec.n_colors - 1
+    n_perms = math.factorial(spec.d)
+    # With one color there is nothing to choose, however large d! is.
+    ranked = enumerate(itertools.permutations(range(spec.d))) if levels else ()
+    choices = [(t, p) for t, p in ranked if not prune or is_fpf_involution(p)]
+    identity = tuple(range(spec.d))
     classes: dict[Topology, tuple[int, int, Topology]] = {}
-    pruned = {_SUPPORT_REASON: 0}
 
     def record(topo: Topology, index: int) -> None:
         key = canonical_form(topo) if spec.dedupe else topo
@@ -337,22 +323,21 @@ def _scan(
 
     def rec(chosen: list[Perm], base: int, level: int) -> None:
         if level == levels:
-            record(tuple(chosen), base)
+            record((identity, *chosen), base)
             return
         subtree = n_perms ** (levels - level - 1)
-        for t, p in enumerate(perms):
+        for t, p in choices:
             if prune and not all(
-                is_fpf_involution(_relative(p, q)) for q in chosen
+                is_fpf_involution(_compose(q, p)) for q in chosen
             ):
-                pruned[_SUPPORT_REASON] += subtree
                 continue
             chosen.append(p)
             rec(chosen, base + t * subtree, level + 1)
             chosen.pop()
 
-    # With one color the identity matching is the only candidate.
-    rec([perms[0]], 0, 0)
-    return classes, pruned
+    rec([], 0, 0)
+    leaves = sum(mult for _, mult, _ in classes.values())
+    return classes, {_SUPPORT_REASON: spec.raw_size - leaves}
 
 
 def run_search(
@@ -395,6 +380,6 @@ def run_search(
     return SearchOutcome(
         spec=spec,
         solutions=tuple(solutions),
-        scanned=spec.raw_size,
+        raw_size=spec.raw_size,
         pruned=tuple(sorted(pruned_counts.items())),
     )

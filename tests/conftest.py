@@ -19,7 +19,13 @@ from adinkra.garden import (
     color_pairs,
 )
 from adinkra.isomorphism import Isomorphism
-from adinkra.search import _compose, _inverse
+from adinkra.search import (
+    _SUPPORT_REASON,
+    _compose,
+    _inverse,
+    canonical_form,
+    is_fpf_involution,
+)
 
 
 def _residual_violations(
@@ -216,3 +222,52 @@ def brute_canonical_form(topology: tuple[tuple[int, ...], ...]):
             if best is None or key < best:
                 best = key
     return best
+
+
+def _relative(p, q):
+    """The boson permutation q^-1 then p, i.e. i -> q^-1(p(i))."""
+    qinv = _inverse(q)
+    return tuple(qinv[v] for v in p)
+
+
+def filtered_scan(spec, prune: bool):
+    """The topology scan by filtering all d! permutations at every level;
+    the oracle for search._scan.
+
+    Returns {class_key: (first_index, multiplicity, topology)} in order
+    of first index, and pruned counts.  Candidate indices are mixed-radix
+    positions in the full (d!)^(N-1) space; a prefix pruned at level L
+    accounts for its whole subtree.
+    """
+    perms = list(itertools.permutations(range(spec.d)))
+    n_perms = len(perms)
+    levels = spec.n_colors - 1
+    classes = {}
+    pruned = {_SUPPORT_REASON: 0}
+
+    def record(topo, index: int) -> None:
+        key = canonical_form(topo) if spec.dedupe else topo
+        if key in classes:
+            first, mult, rep = classes[key]
+            classes[key] = (first, mult + 1, rep)
+        else:
+            classes[key] = (index, 1, topo)
+
+    def rec(chosen, base: int, level: int) -> None:
+        if level == levels:
+            record(tuple(chosen), base)
+            return
+        subtree = n_perms ** (levels - level - 1)
+        for t, p in enumerate(perms):
+            if prune and not all(
+                is_fpf_involution(_relative(p, q)) for q in chosen
+            ):
+                pruned[_SUPPORT_REASON] += subtree
+                continue
+            chosen.append(p)
+            rec(chosen, base + t * subtree, level + 1)
+            chosen.pop()
+
+    # With one color the identity matching is the only candidate.
+    rec([perms[0]], 0, 0)
+    return classes, pruned

@@ -147,7 +147,7 @@ def test_criterion_7_search_recovers_diamond_and_cube_within_budget():
     assert is_isomorphic(small.solutions[0].graph, diamond(), signs="ignore")
 
     fast = run_search(SearchSpec(4, 3))
-    assert fast.scanned == 576
+    assert fast.raw_size == 576
     connected = fast.connected_solutions()
     assert len(connected) == 1
     sol = connected[0]

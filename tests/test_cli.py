@@ -193,6 +193,26 @@ def test_search_json_to_file(capsys, tmp_path):
     assert doc["solutions"][0]["connected"] is True
 
 
+def test_search_d8_json(capsys):
+    # One disconnected class: the 105 fixed-point-free involutions of
+    # S_8, first reached at lexicographic rank 5167 of the 8! candidates.
+    code, out, _ = run(
+        capsys, "search", "-d", "8", "-n", "2", "--allow-disconnected",
+        "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["scanned"] == 40320
+    assert doc["pruned"] == {
+        "relative permutation not a fixed-point-free involution": 40215
+    }
+    assert doc["disconnected_suppressed"] == 0
+    [sol] = doc["solutions"]
+    assert sol["graph"]["name"] == "search-d8-n2-5167"
+    assert sol["multiplicity"] == 105
+    assert sol["connected"] is False
+
+
 def test_search_budget_gate(capsys):
     code, _, err = run(capsys, "search", "-d", "8", "-n", "4")
     assert code == 2 and "error:" in err

@@ -1,5 +1,6 @@
 """Topology search: enumeration, canonical forms, full pipeline."""
 
+import dataclasses
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from adinkra import (
     canonical_form,
     cube,
     diamond,
-    enumerate_topologies,
     garden_check,
     is_fpf_involution,
     is_isomorphic,
@@ -22,8 +22,15 @@ from adinkra import (
     topology_graph,
     topology_of,
 )
-from adinkra.search import _SUPPORT_REASON
-from conftest import brute_canonical_form, disjoint_union
+from adinkra.search import _SUPPORT_REASON, _scan
+from conftest import brute_canonical_form, disjoint_union, filtered_scan
+
+
+def _leaves(spec: SearchSpec, prune: bool = True) -> list:
+    """Every leaf of the scan in order: with dedupe off the class keys
+    are the topologies themselves."""
+    classes, _ = _scan(dataclasses.replace(spec, dedupe=False), prune)
+    return list(classes)
 
 
 def test_spec_validation_and_raw_size():
@@ -62,11 +69,11 @@ def test_topology_of_rejections():
 
 
 def test_enumerate_counts():
-    assert len(list(enumerate_topologies(SearchSpec(2, 2)))) == 1
-    assert len(list(enumerate_topologies(SearchSpec(1, 2)))) == 0
+    assert len(_leaves(SearchSpec(2, 2))) == 1
+    assert len(_leaves(SearchSpec(1, 2))) == 0
     # sigma_2 ranges over the 3 fixed-point-free involutions of S_4.
-    assert len(list(enumerate_topologies(SearchSpec(4, 2)))) == 3
-    cands = list(enumerate_topologies(SearchSpec(4, 3)))
+    assert len(_leaves(SearchSpec(4, 2))) == 3
+    cands = _leaves(SearchSpec(4, 3))
     assert len(cands) == 6
     cube_key = canonical_form(cube())
     assert all(canonical_form(t) == cube_key for t in cands)
@@ -76,13 +83,29 @@ def test_enumerate_prune_is_sound():
     # The support prune must discard exactly the candidacy failures.
     for d, n in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2)):
         spec = SearchSpec(d, n)
-        pruned = set(enumerate_topologies(spec, prune=True))
+        pruned = set(_leaves(spec, prune=True))
         full = {
             t
-            for t in enumerate_topologies(spec, prune=False)
+            for t in _leaves(spec, prune=False)
             if candidacy(topology_graph(t)).is_candidate
         }
         assert pruned == full, (d, n)
+
+
+@pytest.mark.parametrize("dedupe", (True, False))
+def test_scan_matches_filtered_scan(dedupe):
+    # Same classes in the same order, with the same first index,
+    # multiplicity and representative, and the same pruned counts.
+    specs = [(d, n) for d in range(1, 7) for n in range(1, 5)]
+    for d, n in specs + [(4, 5), (8, 2)]:
+        spec = SearchSpec(d, n, dedupe)
+        got, got_pruned = _scan(spec, prune=True)
+        want, want_pruned = filtered_scan(spec, prune=True)
+        assert list(got.items()) == list(want.items()), spec
+        assert got_pruned == want_pruned, spec
+    for d, n in ((2, 2), (3, 2), (2, 3), (4, 3)):
+        spec = SearchSpec(d, n, dedupe)
+        assert _scan(spec, prune=False) == filtered_scan(spec, prune=False)
 
 
 def test_canonical_form_invariances():
@@ -105,7 +128,7 @@ def test_canonical_form_invariances():
 def test_canonical_form_matches_isomorphism_oracle():
     specs = [SearchSpec(4, 3), SearchSpec(4, 2), SearchSpec(3, 2)]
     for spec in specs:
-        cands = list(enumerate_topologies(spec))
+        cands = _leaves(spec)
         graphs = [topology_graph(t) for t in cands]
         keys = [canonical_form(t) for t in cands]
         for i in range(len(cands)):
@@ -131,10 +154,10 @@ def _involution(rng: random.Random, d: int) -> tuple[int, ...]:
 
 def test_canonical_form_matches_brute_force_on_candidates():
     for d, n in ((3, 2), (4, 2), (4, 3), (4, 4), (6, 2)):
-        for t in enumerate_topologies(SearchSpec(d, n)):
+        for t in _leaves(SearchSpec(d, n)):
             assert canonical_form(t) == brute_canonical_form(t), t
     # The unpruned leaves include every kind of relative permutation.
-    for t in enumerate_topologies(SearchSpec(4, 3), prune=False):
+    for t in _leaves(SearchSpec(4, 3), prune=False):
         assert canonical_form(t) == brute_canonical_form(t), t
 
 
@@ -193,7 +216,7 @@ def test_canonical_form_rejects_malformed_tuples():
 
 def test_run_search_diamond():
     out = run_search(SearchSpec(2, 2))
-    assert out.scanned == 2
+    assert out.raw_size == 2
     assert dict(out.pruned) == {_SUPPORT_REASON: 1}
     assert len(out.solutions) == 1
     sol = out.solutions[0]
@@ -204,7 +227,7 @@ def test_run_search_diamond():
 
 def test_run_search_cube():
     out = run_search(SearchSpec(4, 3))
-    assert out.scanned == 576
+    assert out.raw_size == 576
     assert len(out.solutions) == 1
     sol = out.solutions[0]
     assert sol.multiplicity == 6
@@ -212,7 +235,7 @@ def test_run_search_cube():
     assert sol.canonical_key == canonical_form(cube())
     assert is_isomorphic(sol.graph, cube(), signs="ignore")
     pruned_total = sum(count for _, count in out.pruned)
-    assert pruned_total + sol.multiplicity == out.scanned
+    assert pruned_total + sol.multiplicity == out.raw_size
 
 
 def test_run_search_prune_crosscheck():
@@ -237,7 +260,7 @@ def test_run_search_three_by_three_is_empty():
     # No fixed-point-free involutions exist on an odd ground set.
     out = run_search(SearchSpec(3, 3))
     assert out.solutions == ()
-    assert sum(c for _, c in out.pruned) == out.scanned == 36
+    assert sum(c for _, c in out.pruned) == out.raw_size == 36
 
 
 def test_run_search_single_color():
@@ -258,11 +281,9 @@ def test_run_search_no_dedupe():
 def test_budget_gate():
     with pytest.raises(BudgetError, match="topology search"):
         run_search(SearchSpec(8, 4))
-    with pytest.raises(BudgetError, match="topology enumeration"):
-        list(enumerate_topologies(SearchSpec(8, 4)))
     # A raised budget is honored.
     out = run_search(SearchSpec(3, 2), budget=10**15)
-    assert out.scanned == 6
+    assert out.raw_size == 6
 
 
 def test_witnesses_satisfy_garden():
@@ -271,9 +292,9 @@ def test_witnesses_satisfy_garden():
             assert garden_check(to_matrices(sol.graph)).ok
 
 
-def test_tesseract_is_found_at_d8():
-    # d=8, N=4 is beyond the default budget by design; the canonical
-    # form of the tesseract is still computable through its topology.
+def test_tesseract_topology_is_identity_and_fpf_involutions():
+    # Pinned to color 1, the tesseract's colors lie in the search space
+    # at d=8, N=4: the identity, then fixed-point-free involutions.
     topo = topology_of(tesseract())
     assert len(topo) == 4 and len(topo[0]) == 8
     assert all(is_fpf_involution(p) or p == tuple(range(8)) for p in topo)
