@@ -147,6 +147,18 @@ def bow_tie() -> ValiseGraph:
     )
 
 
+def _max_hypercube_dimension() -> int:
+    """The largest n whose n matrices of 2^(n-1) x 2^(n-1) cells fit in
+    MAX_MATRIX_CELLS, so that to_matrices accepts hypercube(n)."""
+    n = 1
+    while (n + 1) << 2 * n <= gm.MAX_MATRIX_CELLS:
+        n += 1
+    return n
+
+
+MAX_HYPERCUBE_DIMENSION = _max_hypercube_dimension()
+
+
 def hypercube(n: int) -> ValiseGraph:
     """n-cube valise: even-parity bitstrings are bosons, odd are fermions.
 
@@ -157,8 +169,12 @@ def hypercube(n: int) -> ValiseGraph:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"hypercube dimension must be an integer >= 1, got {n}")
-    if n > 16:
-        raise ValueError(f"hypercube dimension {n} is above the supported 16")
+    if n > MAX_HYPERCUBE_DIMENSION:
+        raise ValueError(
+            f"hypercube dimension {n} is above {MAX_HYPERCUBE_DIMENSION}, the "
+            f"largest whose matrices fit in the limit MAX_MATRIX_CELLS = "
+            f"{gm.MAX_MATRIX_CELLS}"
+        )
     bosons = [v for v in range(1 << n) if bin(v).count("1") % 2 == 0]
     fermions = [v for v in range(1 << n) if bin(v).count("1") % 2 == 1]
     b_index = {v: i + 1 for i, v in enumerate(bosons)}

@@ -31,6 +31,12 @@ is free, stop a branch once its prefix exceeds the best key) and returns
 exactly the key of trying every relabeling, which the tests keep as an
 oracle.  The tesseract takes tens of milliseconds instead of seconds;
 the worst case is still N! * d! leaves on highly symmetric tuples.
+
+A class is exactly one orbit of S_d x S_N, and both leaf sets (pruned
+or not) are closed under it, so canonical_form runs once per class:
+the first leaf of a class reached is keyed, a breadth-first walk of
+its orbit (_orbit) stores that key for every other member, and each of
+those leaves is then a dictionary lookup that drops it from the memo.
 """
 
 from __future__ import annotations
@@ -283,6 +289,65 @@ def canonical_form(topology: Topology | ValiseGraph) -> Topology:
     return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(n - 1))
 
 
+def _orbit(topology: Topology) -> set[Topology]:
+    """Every tuple with color 1 the identity that boson/fermion
+    relabeling and color permutation reach from topology, whose color 1
+    must be the identity.
+
+    Breadth-first search over generators that keep color 1 the
+    identity: conjugation of every color by an adjacent boson
+    transposition a (relabeling bosons and fermions by a alike), the
+    swap of colors 1 and 2 followed by relabeling fermions by r_2^-1,
+    which gives (id, r_2^-1, r_2^-1 . r_3, ...), and the swap of colors
+    c and c+1 for c >= 2.  They generate S_d x S_N, so the result is the
+    whole class, and canonical_form is constant on it.
+    """
+    d, n = len(topology[0]), len(topology)
+    swaps = []
+    for i in range(d - 1):
+        a = list(range(d))
+        a[i], a[i + 1] = i + 1, i
+        swaps.append(a)
+
+    def neighbors(t: Topology):
+        for a in swaps:
+            # a . r . a^-1, as a is its own inverse
+            yield tuple(tuple(a[r[y]] for y in a) for r in t)
+        if n > 1:
+            inv = _inverse(t[1])
+            yield (t[0], inv, *(_compose(inv, r) for r in t[2:]))
+        for c in range(2, n):
+            yield t[:c - 1] + (t[c], t[c - 1]) + t[c + 1:]
+
+    seen = {topology}
+    queue = [topology]
+    for t in queue:
+        for u in neighbors(t):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen
+
+
+class _OrbitKeys:
+    """canonical_form of tuples with color 1 the identity, computed once
+    per orbit: the key of the first member asked for is stored in memo
+    for the rest of its orbit, and each member is dropped from memo when
+    asked for.  A scan asks once for every leaf, and every orbit member
+    of a leaf is a leaf, so memo ends empty."""
+
+    def __init__(self) -> None:
+        self.memo: dict[Topology, Topology] = {}
+
+    def __call__(self, topo: Topology) -> Topology:
+        if topo in self.memo:
+            return self.memo.pop(topo)
+        key = canonical_form(topo)
+        self.memo.update(dict.fromkeys(_orbit(topo), key))
+        del self.memo[topo]
+        return key
+
+
 _SUPPORT_REASON = "relative permutation not a fixed-point-free involution"
 
 
@@ -312,9 +377,10 @@ def _scan(
     choices = [(t, p) for t, p in ranked if not prune or is_fpf_involution(p)]
     identity = tuple(range(spec.d))
     classes: dict[Topology, tuple[int, int, Topology]] = {}
+    key_of = _OrbitKeys()
 
     def record(topo: Topology, index: int) -> None:
-        key = canonical_form(topo) if spec.dedupe else topo
+        key = key_of(topo) if spec.dedupe else topo
         if key in classes:
             first, mult, rep = classes[key]
             classes[key] = (first, mult + 1, rep)
@@ -357,6 +423,7 @@ def run_search(
     classes, pruned = _scan(spec, prune)
     pruned_counts = {reason: count for reason, count in pruned.items() if count}
 
+    key_of = _OrbitKeys()
     solutions = []
     for key, (first, mult, topo) in classes.items():
         g = topology_graph(topo, name=f"search-d{spec.d}-n{spec.n_colors}-{first}")
@@ -366,7 +433,7 @@ def run_search(
             solutions.append(
                 TopologyClass(
                     topology=topo,
-                    canonical_key=key if spec.dedupe else canonical_form(topo),
+                    canonical_key=key if spec.dedupe else key_of(topo),
                     graph=dashed,
                     witness=result.witness,
                     connected=gm.is_connected(dashed),

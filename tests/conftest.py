@@ -224,6 +224,22 @@ def brute_canonical_form(topology: tuple[tuple[int, ...], ...]):
     return best
 
 
+def brute_topology_orbit(topology: tuple[tuple[int, ...], ...]) -> set:
+    """The orbit of a tuple with color 1 the identity, by trying every
+    color order and every boson relabeling alpha: (alpha . rel_r .
+    alpha^-1)_r over every color r, where rel_r is the first color's
+    inverse composed with color r, so color 1 stays the identity."""
+    d, n = len(topology[0]), len(topology)
+    orbit = set()
+    for order in itertools.permutations(range(n)):
+        base_inv = _inverse(topology[order[0]])
+        rel = [_compose(base_inv, topology[c]) for c in order]
+        for alpha in itertools.permutations(range(d)):
+            alpha_inv = _inverse(alpha)
+            orbit.add(tuple(_compose(alpha, _compose(t, alpha_inv)) for t in rel))
+    return orbit
+
+
 def _relative(p, q):
     """The boson permutation q^-1 then p, i.e. i -> q^-1(p(i))."""
     qinv = _inverse(q)

@@ -95,6 +95,10 @@ def test_hypercube_counts():
     assert (hypercube(1).d, hypercube(1).d_hat) == (1, 1)
     assert (hypercube(3).d, hypercube(3).d_hat, len(hypercube(3).edges)) == (4, 4, 12)
     assert (hypercube(4).d, hypercube(4).d_hat, len(hypercube(4).edges)) == (8, 8, 32)
+    # The largest whose 11 x 1024 x 1024 matrix cells fit MAX_MATRIX_CELLS.
+    assert len(hypercube(11).edges) == 11 * 1024
+    with pytest.raises(ValueError, match="MAX_MATRIX_CELLS"):
+        hypercube(12)
     with pytest.raises(ValueError):
         hypercube(0)
     with pytest.raises(ValueError):

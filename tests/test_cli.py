@@ -91,6 +91,16 @@ def test_oversized_inputs_are_refused_before_allocating(capsys, monkeypatch):
         assert "above the limit MAX_MATRIX_CELLS" in err, command
 
 
+def test_hypercube_above_the_matrix_limit_is_refused_unbuilt(capsys):
+    # hypercube-12 would be 12 x 2048 x 2048 cells; the builder refuses it
+    # before making its edges (to_matrices would refuse only after).
+    for name in ("builtin:hypercube-12", "builtin:hypercube-16"):
+        code, out, err = run(capsys, "check", name)
+        assert code == 2 and out == "", name
+        assert "hypercube dimension" in err, name
+        assert "above 11" in err and "limit MAX_MATRIX_CELLS" in err, name
+
+
 def test_matrices_json_round_trip(capsys):
     code, out, _ = run(capsys, "matrices", "builtin:diamond", "--json")
     assert code == 0
@@ -211,6 +221,44 @@ def test_search_d8_json(capsys):
     assert sol["graph"]["name"] == "search-d8-n2-5167"
     assert sol["multiplicity"] == 105
     assert sol["connected"] is False
+
+
+def _search_json(capsys, d: int, n: int, budget: int) -> dict:
+    code, out, _ = run(
+        capsys, "search", "-d", str(d), "-n", str(n), "--budget", str(budget),
+        "--allow-disconnected", "--json",
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+def test_search_d8_n3_json(capsys):
+    doc = _search_json(capsys, 8, 3, 2_000_000_000)
+    assert doc["scanned"] == 1625702400
+    assert doc["pruned"] == {
+        "relative permutation not a fixed-point-free involution": 1625701140
+    }
+    assert [
+        (s["graph"]["name"], s["connected"], s["multiplicity"])
+        for s in doc["solutions"]
+    ] == [("search-d8-n3-208344976", False, 1260)]
+
+
+def test_search_d8_n4_json(capsys):
+    # Two disjoint copies of the (4,4) class, then the tesseract, whose
+    # multiplicity is 8! 4! / 192.
+    doc = _search_json(capsys, 8, 4, 10**14)
+    assert doc["scanned"] == 65548320768000
+    assert doc["pruned"] == {
+        "relative permutation not a fixed-point-free involution": 65548320761700
+    }
+    assert [
+        (s["graph"]["name"], s["connected"], s["multiplicity"])
+        for s in doc["solutions"]
+    ] == [
+        ("search-d8-n4-8400469449023", False, 1260),
+        ("search-d8-n4-8400469455936", True, 5040),
+    ]
 
 
 def test_search_budget_gate(capsys):

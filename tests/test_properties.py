@@ -3,7 +3,8 @@ drawn by hypothesis (skipped when hypothesis is not installed).
 
 - the signed-permutation garden kernel against the dense products;
 - the gauge-fix forest: acyclic, spanning, E - V + #components free;
-- the forest-based gauge test against the 2^V vertex-flip scan.
+- the forest-based gauge test against the 2^V vertex-flip scan;
+- the topology orbit walk against every color order and relabeling.
 """
 
 import numpy as np
@@ -21,7 +22,13 @@ from adinkra import (
     product_tables,
 )
 from adinkra.isomorphism import Isomorphism, _gauge_compatible
-from conftest import brute_gauge_compatible, dense_garden_check, dense_product_tables
+from adinkra.search import _orbit
+from conftest import (
+    brute_gauge_compatible,
+    brute_topology_orbit,
+    dense_garden_check,
+    dense_product_tables,
+)
 
 # Fixed example sequence, and no example database written to disk.
 PROPERTY = dict(deadline=None, derandomize=True, database=None)
@@ -103,3 +110,17 @@ def test_gauge_compatible_agrees_with_vertex_flip_scan(mats, data):
     g2 = ValiseGraph("image", g1.n_colors, g1.bosons, g1.fermions,
                      tuple(sorted(edges)))
     assert _gauge_compatible(g1, g2, iso) == brute_gauge_compatible(g1, g2, iso)
+
+
+@st.composite
+def normalized_topologies(draw, max_d=5, max_colors=3):
+    """Color 1 the identity of range(d), colors 2..N any permutations."""
+    d = draw(st.integers(1, max_d))
+    rest = draw(st.lists(st.permutations(range(d)), max_size=max_colors - 1))
+    return (tuple(range(d)), *map(tuple, rest))
+
+
+@settings(max_examples=200, **PROPERTY)
+@given(normalized_topologies())
+def test_orbit_equals_brute_force_orbit(topology):
+    assert _orbit(topology) == brute_topology_orbit(topology)

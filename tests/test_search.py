@@ -22,7 +22,8 @@ from adinkra import (
     topology_graph,
     topology_of,
 )
-from adinkra.search import _SUPPORT_REASON, _scan
+from adinkra import search
+from adinkra.search import _SUPPORT_REASON, _orbit, _scan
 from conftest import brute_canonical_form, disjoint_union, filtered_scan
 
 
@@ -106,6 +107,71 @@ def test_scan_matches_filtered_scan(dedupe):
     for d, n in ((2, 2), (3, 2), (2, 3), (4, 3)):
         spec = SearchSpec(d, n, dedupe)
         assert _scan(spec, prune=False) == filtered_scan(spec, prune=False)
+
+
+def _orbit_partition(leaves) -> list[set]:
+    """The orbits of the leaves, asserting that each leaf lies in
+    exactly one and that every orbit member is a leaf."""
+    left = set(leaves)
+    orbits = []
+    for t in leaves:
+        if t in left:
+            orbit = _orbit(t)
+            assert orbit <= left, t
+            left -= orbit
+            orbits.append(orbit)
+    assert not left
+    return orbits
+
+
+def test_orbits_partition_leaves_into_classes():
+    specs = [(d, n, True) for d in range(1, 7) for n in range(1, 5)]
+    specs += [(2, 2, False), (3, 2, False), (2, 3, False), (3, 3, False),
+              (4, 3, False)]
+    for d, n, prune in specs:
+        orbits = _orbit_partition(_leaves(SearchSpec(d, n), prune))
+        keys = [{canonical_form(t) for t in orbit} for orbit in orbits]
+        assert all(len(k) == 1 for k in keys), (d, n, prune)
+        assert len(set().union(*keys)) == len(orbits), (d, n, prune)
+
+
+def test_scan_calls_canonical_form_once_per_class(monkeypatch):
+    called, memos = [], []
+
+    def counting(topology):
+        called.append(topology)
+        return canonical_form(topology)
+
+    class Recording(search._OrbitKeys):
+        def __init__(self):
+            super().__init__()
+            memos.append(self.memo)
+
+    monkeypatch.setattr(search, "canonical_form", counting)
+    monkeypatch.setattr(search, "_OrbitKeys", Recording)
+    classes, _ = _scan(SearchSpec(4, 3), prune=False)
+    assert len(called) == len(classes) == 15
+    # The orbits of the keyed leaves cover the 576 leaves, and every
+    # other leaf was taken from the memo.
+    assert sum(len(_orbit(t)) for t in called) == 576
+    assert memos and not any(memos)
+    called.clear()
+    run_search(SearchSpec(4, 3))
+    assert len(called) == 1
+    # With dedupe off, the keys of all 6 classes come from one orbit.
+    called.clear()
+    out = run_search(SearchSpec(4, 4, dedupe=False))
+    assert len(out.solutions) == 6 and len(called) == 1
+    assert not any(memos)
+
+
+def test_orbit_sizes():
+    # d! N! / |Aut|: 4! 3! / 24 for the cube, 8! 4! / 192 for the
+    # tesseract, and the disconnected (8,4) class.
+    assert len(_orbit(topology_of(cube()))) == 6
+    assert len(_orbit(topology_of(tesseract()))) == 5040
+    orbits = _orbit_partition(_leaves(SearchSpec(8, 4)))
+    assert sorted(map(len, orbits)) == [1260, 5040]
 
 
 def test_canonical_form_invariances():
