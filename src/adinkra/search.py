@@ -16,31 +16,23 @@ the quad candidacy filter lifted to permutation level; the tests
 confirm pruned and unpruned searches agree, as does the acceptance
 cross-check.
 
-The search never builds a pruned candidate.  Relative to color 1 every
+The search never builds a pruned candidate: relative to color 1 every
 later color must be a fixed-point-free involution, so colors 2..N are
-drawn from those (3 at d = 4, 15 at d = 6, 105 at d = 8), and a choice
-is kept only if it is one relative to every earlier color too.  The
-leaves keep their positions in the raw space, and the pruned count is
-the raw candidates that were never generated.
-
-Surviving candidates are grouped by canonical_form: the lexicographic
-minimum, over color orders and boson relabelings, of the relative
-permutations to a base color.  It is computed by branch and bound
-(label bosons in the order the key is read, branch only where a label
-is free, stop a branch once its prefix exceeds the best key) and returns
-exactly the key of trying every relabeling, which the tests keep as an
-oracle.  The tesseract takes tens of milliseconds instead of seconds;
-the worst case is still N! * d! leaves on highly symmetric tuples.
-
-A class is exactly one orbit of S_d x S_N, and both leaf sets (pruned
-or not) are closed under it, so canonical_form runs once per class:
-the first leaf of a class reached is keyed, a breadth-first walk of
-its orbit (_orbit) stores that key for every other member, and each of
-those leaves is then a dictionary lookup that drops it from the memo.
+drawn from those (3 at d = 4, 15 at d = 6, 105 at d = 8).  Candidates
+are grouped by canonical_form: the lexicographic minimum, over color
+orders and boson relabelings, of the relative permutations to a base
+color, found by branch and bound (label bosons in the order the key is
+read, stop a branch once its prefix exceeds the best key); the tests
+keep trying every relabeling as an oracle.  A class is one orbit of
+S_d x S_N, and it is built once, as its least leaf, by orderly
+generation (R. C. Read, 1978; B. D. McKay, 1998): a prefix is extended
+only if it is the least member of its own class.  The same branch and
+bound counts |Aut|, and the class has d! N! / |Aut| leaves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -158,8 +150,8 @@ def topology_of(g: ValiseGraph) -> Topology:
     return tuple(out)
 
 
-def _check_topology(topology: Topology) -> tuple[int, int]:
-    """(d, N) of a matching tuple; ValueError unless every entry is a
+def _check_topology(topology: Topology) -> None:
+    """ValueError unless the tuple is non-empty and every entry is a
     permutation of range(d) for one common d."""
     if len(topology) == 0:
         raise ValueError("need at least one color")
@@ -171,7 +163,6 @@ def _check_topology(topology: Topology) -> tuple[int, int]:
             )
         if set(p) != set(range(d)):
             raise ValueError(f"color {color} is not a permutation of range({d})")
-    return d, len(topology)
 
 
 def _twin_classes(topology: Topology) -> list[int]:
@@ -205,37 +196,50 @@ def canonical_form(topology: Topology | ValiseGraph) -> Topology:
     Fermion relabeling is normalized away by composing with the base
     color's inverse.  The key is the minimum, over color orders and
     boson relabelings alpha, of the tuple of relative permutations
-    alpha . rel_r . alpha^-1, compared lexicographically; it is the same
-    key that trying every order and every alpha gives, and the tests keep
-    that brute force as an oracle.
-
-    The minimum is found by branch and bound.  For each color order,
-    alpha is built one label at a time while the key is read in order:
-    entry i of row 0 is the label of rel_0 applied to the boson labeled
-    i.  When no boson has label i yet, the search branches over the
-    unlabeled bosons; when the image is unlabeled, it takes the smallest
-    unused label, the only choice that can reach the minimum.  Row 0
-    labels every boson, so rows 1.. are then fixed.  A branch stops as
-    soon as its prefix exceeds the best key so far, which carries over
-    from one color order to the next, and of two unlabeled bosons whose
-    transposition is an automorphism only one is tried.  When rel_0 is a
-    fixed-point-free involution, as in every search candidate, a color
-    order has at most 2^(d/2) * (d/2)! leaves (384 at d = 8); the worst
-    case is still N! * d! leaves, on highly symmetric tuples whose
-    automorphisms are not generated by transpositions.
+    alpha . rel_r . alpha^-1, compared lexicographically (see _least).
 
     Raises ValueError unless the tuple is non-empty and every entry is a
     permutation of range(d) for one common d.
     """
     if isinstance(topology, ValiseGraph):
         topology = topology_of(topology)
-    d, n = _check_topology(topology)
+    _check_topology(topology)
+    return _least(topology)[0]
+
+
+def _least(
+    topology: Topology, stop: bool = False
+) -> tuple[Topology, int] | None:
+    """(canonical key, |Aut|) of a well-formed tuple, by branch and bound.
+
+    For each color order, alpha is built one label at a time while the
+    key is read in order: entry i of row 0 is the label of rel_0 applied
+    to the boson labeled i.  When no boson has label i yet, the search
+    branches over the unlabeled bosons; when the image is unlabeled, it
+    takes the smallest unused label, the only choice that can reach the
+    minimum.  Row 0 labels every boson, so rows 1.. are then fixed.  The
+    bound starts at the tuple's own key (the first order, alpha the
+    identity), a branch stops once its prefix exceeds the best key, and
+    of two unlabeled bosons whose transposition is an automorphism only
+    one is tried.  When rel_0 is a fixed-point-free involution, an order
+    has at most 2^(d/2) * (d/2)! leaves (384 at d = 8); the worst case is
+    still N! * d! leaves, on symmetric tuples whose automorphisms are not
+    generated by transpositions.
+
+    With stop set, the result is None after the color order in which a
+    key below the tuple's own is found, so a tuple with color 1 the
+    identity passes only if it is the least of its class.  Otherwise
+    every (order, alpha) giving the key is counted, a twin-pruned branch
+    weighted by the twins it stands for: that is |Aut|, the stabilizer in
+    S_d x S_N.  Without stop the count is skipped, as it costs time.
+    """
+    d, n = len(topology[0]), len(topology)
     if n == 1:  # every matching is the same class
-        return ()
+        return (), math.factorial(d)
     twin = _twin_classes(topology)
-    best_row: list[int] | None = None  # row 0 of the best key so far
-    best_rest: list[int] = []  # rows 1.., flattened
-    updates = 0
+    own = [v for t in topology[1:] for v in _compose(_inverse(topology[0]), t)]
+    best_row, best_rest = own[:d], own[d:]  # the best key: row 0, rows 1..
+    updates = ties = 0
 
     for order in itertools.permutations(range(n)):
         base_inv = _inverse(topology[order[0]])
@@ -247,7 +251,7 @@ def canonical_form(topology: Topology | ValiseGraph) -> Topology:
         def descend(i: int, m: int, tight: bool) -> None:
             # Labels 0..m-1 are assigned and row[:i] is read; tight means
             # row[:i] equals best_row[:i] rather than being smaller.
-            nonlocal best_row, best_rest, updates
+            nonlocal best_row, best_rest, updates, ties
             m0 = m
             while i < m:
                 y = first[inv[i]]
@@ -266,9 +270,19 @@ def canonical_form(topology: Topology | ValiseGraph) -> Topology:
             else:
                 if i == d:
                     rest = [lab[r[inv[j]]] for r in others for j in range(d)]
-                    if best_row is None or not tight or rest < best_rest:
+                    if not tight or rest < best_rest:
                         best_row, best_rest = row[:], rest
                         updates += 1
+                    elif stop and rest == best_rest:
+                        # Label k was branched on unless the boson is the
+                        # image of an earlier one; the branch stood for
+                        # the twins then unlabeled.
+                        ties += math.prod(
+                            sum(twin[y] == twin[x] and lab[y] >= k
+                                for y in range(d))
+                            for k, x in enumerate(inv)
+                            if lab[first.index(x)] >= k
+                        )
                 else:
                     tried = set()
                     for x in range(d):
@@ -284,9 +298,12 @@ def canonical_form(topology: Topology | ValiseGraph) -> Topology:
             for k in range(m0, m):
                 lab[inv[k]] = -1
 
-        descend(0, 0, best_row is not None)
+        descend(0, 0, True)
+        descend = None  # no reference cycle is left for the collector
+        if stop and updates:
+            return None
     flat = best_row + best_rest
-    return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(n - 1))
+    return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(n - 1)), ties
 
 
 def _orbit(topology: Topology) -> set[Topology]:
@@ -329,80 +346,64 @@ def _orbit(topology: Topology) -> set[Topology]:
     return seen
 
 
-class _OrbitKeys:
-    """canonical_form of tuples with color 1 the identity, computed once
-    per orbit: the key of the first member asked for is stored in memo
-    for the rest of its orbit, and each member is dropped from memo when
-    asked for.  A scan asks once for every leaf, and every orbit member
-    of a leaf is a leaf, so memo ends empty."""
-
-    def __init__(self) -> None:
-        self.memo: dict[Topology, Topology] = {}
-
-    def __call__(self, topo: Topology) -> Topology:
-        if topo in self.memo:
-            return self.memo.pop(topo)
-        key = canonical_form(topo)
-        self.memo.update(dict.fromkeys(_orbit(topo), key))
-        del self.memo[topo]
-        return key
-
-
 _SUPPORT_REASON = "relative permutation not a fixed-point-free involution"
 
 
 def _scan(
     spec: SearchSpec, prune: bool
-) -> tuple[dict[Topology, tuple[int, int, Topology]], dict[str, int]]:
-    """Enumerate the candidates that pass the support rule, sigma_1 =
-    identity.
+) -> tuple[list[tuple[int, int, Topology, Topology]], dict[str, int]]:
+    """The least leaf of every class of candidates that pass the support
+    rule, sigma_1 = identity, by orderly generation.
 
-    Colors 2..N are drawn from the fixed-point-free involutions of
-    range(d), or from every permutation when prune is off.  A choice p
-    is kept if q . p is also a fixed-point-free involution for every
-    earlier color q after the first; as q is an involution, q . p is p
-    relative to q.
+    Colors 2..N are drawn in nondecreasing order from the
+    fixed-point-free involutions of range(d), or from every permutation
+    when prune is off.  A choice p is kept if q . p is also one for every
+    earlier color q after the first (as q is an involution, q . p is p
+    relative to q), and a prefix with children is extended only if
+    _least finds it the least of its class: a smaller member of its class
+    extends to a smaller member of every leaf above it.  With pruning on,
+    color 2 is the first fixed-point-free involution, all being conjugate.
 
-    Returns {class_key: (first_index, multiplicity, topology)} in order
+    Returns [(first_index, multiplicity, topology, class_key)] in order
     of first index, and pruned counts.  Candidate indices are mixed-radix
     positions in the full (d!)^(N-1) space, each digit the lexicographic
-    rank of a permutation.  Every raw candidate is either a leaf or
+    rank of a permutation, and a class of d! N! / |Aut| leaves is first
+    reached at its least leaf.  Every raw candidate is either a leaf or
     pruned at one level, so raw_size minus the leaves is the pruned
-    count.
+    count.  With dedupe off, _orbit expands each class into its leaves.
     """
-    levels = spec.n_colors - 1
     n_perms = math.factorial(spec.d)
     # With one color there is nothing to choose, however large d! is.
-    ranked = enumerate(itertools.permutations(range(spec.d))) if levels else ()
-    choices = [(t, p) for t, p in ranked if not prune or is_fpf_involution(p)]
-    identity = tuple(range(spec.d))
-    classes: dict[Topology, tuple[int, int, Topology]] = {}
-    key_of = _OrbitKeys()
+    perms = itertools.permutations(range(spec.d)) if spec.n_colors > 1 else ()
+    rank = {p: t for t, p in enumerate(perms) if not prune or is_fpf_involution(p)}
+    choices = list(rank)
+    group = n_perms * math.factorial(spec.n_colors)
+    classes: list[tuple[int, int, Topology, Topology]] = []
 
-    def record(topo: Topology, index: int) -> None:
-        key = key_of(topo) if spec.dedupe else topo
-        if key in classes:
-            first, mult, rep = classes[key]
-            classes[key] = (first, mult + 1, rep)
-        else:
-            classes[key] = (index, 1, topo)
+    def index(topo: Topology) -> int:
+        return functools.reduce(lambda i, p: i * n_perms + rank[p], topo[1:], 0)
 
-    def rec(chosen: list[Perm], base: int, level: int) -> None:
-        if level == levels:
-            record((identity, *chosen), base)
+    def rec(topo: Topology, start: int) -> None:
+        if len(topo) == spec.n_colors:
+            least = _least(topo, stop=True)
+            if least is not None:
+                classes.append((index(topo), group // least[1], topo, least[0]))
             return
-        subtree = n_perms ** (levels - level - 1)
-        for t, p in choices:
-            if prune and not all(
-                is_fpf_involution(_compose(q, p)) for q in chosen
-            ):
-                continue
-            chosen.append(p)
-            rec(chosen, base + t * subtree, level + 1)
-            chosen.pop()
+        end = 1 if prune and len(topo) == 1 else None
+        kids = [
+            (k, p) for k, p in enumerate(choices[start:end], start)
+            if not prune or all(is_fpf_involution(_compose(q, p)) for q in topo[1:])
+        ]
+        if kids and _least(topo, stop=True) is not None:
+            for k, p in kids:
+                rec(topo + (p,), k)
 
-    rec([], 0, 0)
-    leaves = sum(mult for _, mult, _ in classes.values())
+    rec((tuple(range(spec.d)),), 0)
+    leaves = sum(mult for _, mult, _, _ in classes)
+    if not spec.dedupe:
+        classes = sorted(
+            (index(t), 1, t, key) for _, _, rep, key in classes for t in _orbit(rep)
+        )
     return classes, {_SUPPORT_REASON: spec.raw_size - leaves}
 
 
@@ -423,9 +424,8 @@ def run_search(
     classes, pruned = _scan(spec, prune)
     pruned_counts = {reason: count for reason, count in pruned.items() if count}
 
-    key_of = _OrbitKeys()
     solutions = []
-    for key, (first, mult, topo) in classes.items():
+    for first, mult, topo, key in classes:
         g = topology_graph(topo, name=f"search-d{spec.d}-n{spec.n_colors}-{first}")
         result = search_dashings(g, exhaustive=False, budget=budget)
         if result.feasible:
@@ -433,7 +433,7 @@ def run_search(
             solutions.append(
                 TopologyClass(
                     topology=topo,
-                    canonical_key=key if spec.dedupe else key_of(topo),
+                    canonical_key=key,
                     graph=dashed,
                     witness=result.witness,
                     connected=gm.is_connected(dashed),

@@ -261,6 +261,20 @@ def test_search_d8_n4_json(capsys):
     ]
 
 
+def test_search_d8_n5_json(capsys):
+    # One class, connected, with multiplicity 8! 5! / |Aut|.
+    doc = _search_json(capsys, 8, 5, 10**19)
+    assert doc["scanned"] == 2642908293365760000
+    assert doc["pruned"] == {
+        "relative permutation not a fixed-point-free involution":
+            2642908293365734800
+    }
+    assert [
+        (s["graph"]["name"], s["connected"], s["multiplicity"])
+        for s in doc["solutions"]
+    ] == [("search-d8-n5-338706928184630976", True, 25200)]
+
+
 def test_search_budget_gate(capsys):
     code, _, err = run(capsys, "search", "-d", "8", "-n", "4")
     assert code == 2 and "error:" in err

@@ -4,8 +4,12 @@ drawn by hypothesis (skipped when hypothesis is not installed).
 - the signed-permutation garden kernel against the dense products;
 - the gauge-fix forest: acyclic, spanning, E - V + #components free;
 - the forest-based gauge test against the 2^V vertex-flip scan;
-- the topology orbit walk against every color order and relabeling.
+- the topology orbit walk against every color order and relabeling;
+- canonical_form, the least-member test and |Aut| against every color
+  order and relabeling.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -22,8 +26,9 @@ from adinkra import (
     product_tables,
 )
 from adinkra.isomorphism import Isomorphism, _gauge_compatible
-from adinkra.search import _orbit
+from adinkra.search import _least, _orbit, canonical_form
 from conftest import (
+    brute_canonical_form,
     brute_gauge_compatible,
     brute_topology_orbit,
     dense_garden_check,
@@ -124,3 +129,28 @@ def normalized_topologies(draw, max_d=5, max_colors=3):
 @given(normalized_topologies())
 def test_orbit_equals_brute_force_orbit(topology):
     assert _orbit(topology) == brute_topology_orbit(topology)
+
+
+@st.composite
+def topologies_with_repeats(draw, max_d=5, max_colors=4):
+    """Color 1 the identity of range(d), colors 2..N drawn from a pool of
+    one to three permutations, so colors often repeat (as only an
+    unpruned search has them)."""
+    d = draw(st.integers(1, max_d))
+    pool = draw(st.lists(st.permutations(range(d)), min_size=1, max_size=3))
+    rest = draw(st.lists(st.sampled_from(pool), max_size=max_colors - 1))
+    return (tuple(range(d)), *map(tuple, rest))
+
+
+@settings(max_examples=200, **PROPERTY)
+@given(topologies_with_repeats())
+def test_least_member_and_stabilizer_equal_brute_force(topology):
+    d, n = len(topology[0]), len(topology)
+    if n <= 3:
+        assert canonical_form(topology) == brute_canonical_form(topology)
+    orbit = brute_topology_orbit(topology)
+    least = min(orbit)
+    assert (_least(topology, stop=True) is not None) == (topology == least)
+    key, aut = _least(least, stop=True)
+    assert (least[0], *key) == least
+    assert len(orbit) * aut == math.factorial(d) * math.factorial(n)

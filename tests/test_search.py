@@ -1,6 +1,7 @@
 """Topology search: enumeration, canonical forms, full pipeline."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -23,15 +24,25 @@ from adinkra import (
     topology_of,
 )
 from adinkra import search
-from adinkra.search import _SUPPORT_REASON, _orbit, _scan
+from adinkra.search import _SUPPORT_REASON, _compose, _orbit, _scan
 from conftest import brute_canonical_form, disjoint_union, filtered_scan
 
 
 def _leaves(spec: SearchSpec, prune: bool = True) -> list:
-    """Every leaf of the scan in order: with dedupe off the class keys
-    are the topologies themselves."""
-    classes, _ = _scan(dataclasses.replace(spec, dedupe=False), prune)
+    """Every leaf of the filtering oracle in order: with dedupe off the
+    class keys are the topologies themselves."""
+    classes, _ = filtered_scan(dataclasses.replace(spec, dedupe=False), prune)
     return list(classes)
+
+
+def _records(spec: SearchSpec, prune: bool) -> tuple[list, dict]:
+    """_scan's result in filtered_scan's shape: {class key or, with
+    dedupe off, topology: (first_index, multiplicity, topology)}."""
+    classes, pruned = _scan(spec, prune)
+    return [
+        (key if spec.dedupe else topo, (first, mult, topo))
+        for first, mult, topo, key in classes
+    ], pruned
 
 
 def test_spec_validation_and_raw_size():
@@ -100,13 +111,30 @@ def test_scan_matches_filtered_scan(dedupe):
     specs = [(d, n) for d in range(1, 7) for n in range(1, 5)]
     for d, n in specs + [(4, 5), (8, 2)]:
         spec = SearchSpec(d, n, dedupe)
-        got, got_pruned = _scan(spec, prune=True)
+        got, got_pruned = _records(spec, prune=True)
         want, want_pruned = filtered_scan(spec, prune=True)
-        assert list(got.items()) == list(want.items()), spec
+        assert got == list(want.items()), spec
         assert got_pruned == want_pruned, spec
     for d, n in ((2, 2), (3, 2), (2, 3), (4, 3)):
         spec = SearchSpec(d, n, dedupe)
-        assert _scan(spec, prune=False) == filtered_scan(spec, prune=False)
+        got, got_pruned = _records(spec, prune=False)
+        want, want_pruned = filtered_scan(spec, prune=False)
+        assert (got, got_pruned) == (list(want.items()), want_pruned), spec
+
+
+def test_class_multiplicity_is_its_orbit():
+    # d! N! / |Aut| against a walk of the orbit, and the representative
+    # is the class's least leaf.
+    specs = [(d, n, True) for d in range(1, 7) for n in range(1, 5)]
+    specs += [(4, 5, True), (8, 2, True), (8, 3, True), (8, 4, True),
+              (8, 5, True), (4, 4, False)]
+    for d, n, prune in specs:
+        classes, _ = _scan(SearchSpec(d, n), prune)
+        for _, mult, rep, key in classes:
+            assert rep == (tuple(range(d)), *key), (d, n, prune)
+            assert mult == len(_orbit(rep)), (d, n, prune, rep)
+        if not prune:
+            assert len(classes) == 69
 
 
 def _orbit_partition(leaves) -> list[set]:
@@ -135,34 +163,39 @@ def test_orbits_partition_leaves_into_classes():
         assert len(set().union(*keys)) == len(orbits), (d, n, prune)
 
 
-def test_scan_calls_canonical_form_once_per_class(monkeypatch):
-    called, memos = [], []
+def test_scan_builds_one_least_leaf_per_class(monkeypatch):
+    real_least, real_orbit = search._least, search._orbit
+    passed, orbits = [], []
 
-    def counting(topology):
-        called.append(topology)
-        return canonical_form(topology)
+    def least(topology, stop=False):
+        found = real_least(topology, stop)
+        if found is not None:
+            passed.append(topology)
+        return found
 
-    class Recording(search._OrbitKeys):
-        def __init__(self):
-            super().__init__()
-            memos.append(self.memo)
+    def orbit(topology):
+        orbits.append(topology)
+        return real_orbit(topology)
 
-    monkeypatch.setattr(search, "canonical_form", counting)
-    monkeypatch.setattr(search, "_OrbitKeys", Recording)
-    classes, _ = _scan(SearchSpec(4, 3), prune=False)
-    assert len(called) == len(classes) == 15
-    # The orbits of the keyed leaves cover the 576 leaves, and every
-    # other leaf was taken from the memo.
-    assert sum(len(_orbit(t)) for t in called) == 576
-    assert memos and not any(memos)
-    called.clear()
-    run_search(SearchSpec(4, 3))
-    assert len(called) == 1
-    # With dedupe off, the keys of all 6 classes come from one orbit.
-    called.clear()
-    out = run_search(SearchSpec(4, 4, dedupe=False))
-    assert len(out.solutions) == 6 and len(called) == 1
-    assert not any(memos)
+    monkeypatch.setattr(search, "_least", least)
+    monkeypatch.setattr(search, "_orbit", orbit)
+    for spec, prune, n_classes in (
+        (SearchSpec(4, 3), False, 15),
+        (SearchSpec(4, 3), True, 1),
+        (SearchSpec(4, 3, dedupe=False), False, 15),
+        (SearchSpec(4, 4, dedupe=False), True, 1),
+    ):
+        passed.clear()
+        orbits.clear()
+        classes, _ = _scan(spec, prune)
+        # The last-level test passes once per class, on its least leaf.
+        leaves = [t for t in passed if len(t) == spec.n_colors]
+        assert len(leaves) == n_classes, (spec, prune)
+        assert all(t == (t[0], *canonical_form(t)) for t in leaves)
+        # Only dedupe off walks orbits, once per class.
+        assert orbits == ([] if spec.dedupe else leaves), (spec, prune)
+        assert len(classes) == (n_classes if spec.dedupe else
+                                sum(len(_orbit(t)) for t in leaves))
 
 
 def test_orbit_sizes():
@@ -170,8 +203,19 @@ def test_orbit_sizes():
     # tesseract, and the disconnected (8,4) class.
     assert len(_orbit(topology_of(cube()))) == 6
     assert len(_orbit(topology_of(tesseract()))) == 5040
-    orbits = _orbit_partition(_leaves(SearchSpec(8, 4)))
+    # At (8,4) the leaves are too many for the filtering oracle: count
+    # them from the pairs of compatible involutions, and check that the
+    # orbits of the two classes are disjoint sets of leaves covering them.
+    invs = [p for p in itertools.permutations(range(8)) if is_fpf_involution(p)]
+    fits = {p: {q for q in invs if is_fpf_involution(_compose(p, q))}
+            for p in invs}
+    n_leaves = sum(len(fits[p] & fits[q]) for p in invs for q in fits[p])
+    classes, _ = _scan(SearchSpec(8, 4), prune=True)
+    orbits = [_orbit(rep) for _, _, rep, _ in classes]
     assert sorted(map(len, orbits)) == [1260, 5040]
+    assert len(set().union(*orbits)) == n_leaves == 6300
+    for _, p, q, r in set().union(*orbits):
+        assert q in fits[p] and r in fits[p] and r in fits[q]
 
 
 def test_canonical_form_invariances():
@@ -350,6 +394,15 @@ def test_budget_gate():
     # A raised budget is honored.
     out = run_search(SearchSpec(3, 2), budget=10**15)
     assert out.raw_size == 6
+
+
+def test_run_search_d8_n6():
+    # One class, connected: 8! 6! / |Aut| = 75,600 leaves.
+    out = run_search(SearchSpec(8, 6), budget=10**24)
+    assert [(s.connected, s.multiplicity) for s in out.solutions] == [
+        (True, 75600)
+    ]
+    assert sum(c for _, c in out.pruned) + 75600 == out.raw_size
 
 
 def test_witnesses_satisfy_garden():
