@@ -3,12 +3,12 @@
 from adinkra import (
     builtin,
     candidacy,
+    colors,
     cube,
     garden_check,
     is_isomorphic,
     lift,
     tesseract,
-    to_matrices,
 )
 
 # Lifting doubles the graph: fermions acquire mirror bosons and a new
@@ -33,6 +33,6 @@ print("tesseract minus an antipodal boson pair matches the rhombic "
       "dodecahedron")
 
 # The deletion inherits a valid left family only.
-report = garden_check(to_matrices(deleted))
+report = garden_check(colors(deleted))
 print(f"garden after deletion: left_ok={report.left_ok} "
       f"right_ok={report.right_ok}")

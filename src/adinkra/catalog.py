@@ -149,7 +149,7 @@ def bow_tie() -> ValiseGraph:
 
 def _max_hypercube_dimension() -> int:
     """The largest n whose n matrices of 2^(n-1) x 2^(n-1) cells fit in
-    MAX_MATRIX_CELLS, so that to_matrices accepts hypercube(n)."""
+    MAX_MATRIX_CELLS, so that graph.colors accepts hypercube(n)."""
     n = 1
     while (n + 1) << 2 * n <= gm.MAX_MATRIX_CELLS:
         n += 1

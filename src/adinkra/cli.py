@@ -81,9 +81,8 @@ def _candidacy_lines(rep: filters.CandidacyReport) -> list[str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    mats = gm.to_matrices(g) if g.d == g.d_hat else None
+    report = garden.garden_check(gm.colors(g)) if g.d == g.d_hat else None
     rep = filters.candidacy(g)
-    report = garden.garden_check(mats) if mats is not None else None
     passed = rep.is_candidate and report is not None and report.ok
     if args.json is not None:
         _emit_json(
@@ -141,9 +140,9 @@ _VIOLATION_CAP = 20
 
 def cmd_garden(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    mats = gm.to_matrices(g)
-    report = garden.garden_check(mats)
-    left, right = garden.product_tables(mats)
+    ls = gm.colors(g)
+    report = garden.garden_check(ls)
+    left, right = garden.product_tables(ls)
     if args.json is not None:
         obj = report.to_json_obj()
         obj["left_products"] = [

@@ -247,7 +247,7 @@ def search_dashings(
         for idx, bit in free_pos.items():
             signs[idx] = 1 if (v >> bit) & 1 else -1
         a = DashingAssignment(signs=tuple(signs), gauge_fixed=True)
-        if not garden_check(gm.to_matrices(apply_dashing(g, a))).ok:
+        if not garden_check(gm.colors(apply_dashing(g, a))).ok:
             # the odd-quad rule and the full check must agree
             raise AssertionError("odd-quad solution failed garden verification")
         return a

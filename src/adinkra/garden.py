@@ -1,25 +1,27 @@
 """Exact verification of the garden algebra relations.
 
-Given matrices L_1..L_N (all d x dhat) and their transposes R_I = L_I^T,
-the relations are
+Given the colors of a valise graph, matrices L_1..L_N (all d x dhat),
+and their transposes R_I = L_I^T, the relations are
 
     left:   L_I R_J + L_J R_I = 2 delta_IJ I_d      for all I <= J
     right:  R_I L_J + R_J L_I = 2 delta_IJ I_dhat   for all I <= J
 
-Each L_I is read as a signed partial permutation, and other matrices
-are refused; a cell of either sum then adds at most two +-1 terms, so
-both families are evaluated cell by cell, exactly, in O(N^2 (d + dhat)).
-Every nonzero residual cell (sum minus target) is reported as a
-Violation, so a relation holds iff none is reported for it.
+Both checks take the L_I as the list of signed partial permutations
+that graph.colors reads from the edges, so a cell of either sum adds at
+most two +-1 terms, and both families are evaluated cell by cell,
+exactly, in O(N^2 (d + dhat)).  Every nonzero residual cell (sum minus
+target) is reported as a Violation, so a relation holds iff none is
+reported for it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .graph import SignedPermutation, as_exact
 
 Pair = tuple[int, int]  # 1-based color pair (I, J) with I <= J
 
@@ -33,28 +35,6 @@ class Violation(NamedTuple):
     value: int  # nonzero residual entry
 
 
-class SignedPermutation(NamedTuple):
-    """A matrix with entries in {-1, 0, 1} and at most one nonzero per
-    row and per column, held by its nonzeros (all indices 0-based)."""
-
-    shape: tuple[int, int]
-    rows: dict[int, tuple[int, int]]  # row -> (col, sign)
-    cols: dict[int, tuple[int, int]]  # col -> (row, sign)
-
-
-def as_exact(matrix: object) -> np.ndarray:
-    """Coerce to an exact int64 2-d array, refusing lossy input."""
-    a = np.asarray(matrix)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.issubdtype(a.dtype, np.integer):
-        exact = np.asarray(a, dtype=np.int64)
-        if not np.array_equal(exact, a):
-            raise ValueError("matrix entries must be exact integers")
-        a = exact
-    return a.astype(np.int64, copy=False)
-
-
 def color_pairs(n_colors: int) -> list[Pair]:
     """All 1-based pairs (I, J) with I <= J, sorted by (I, J)."""
     return [(i, j) for i in range(1, n_colors + 1) for j in range(i, n_colors + 1)]
@@ -62,7 +42,7 @@ def color_pairs(n_colors: int) -> list[Pair]:
 
 @dataclass(frozen=True)
 class GardenReport:
-    """Outcome of checking both relation families on one matrix list."""
+    """Outcome of checking both relation families on one list of colors."""
 
     n_colors: int
     d: int
@@ -102,40 +82,6 @@ class GardenReport:
         }
 
 
-def _check_shapes(matrices: Sequence[object]) -> list[np.ndarray]:
-    if not matrices:
-        raise ValueError("need at least one matrix")
-    mats = [as_exact(m) for m in matrices]
-    d, dh = mats[0].shape
-    for k, m in enumerate(mats, start=1):
-        if m.shape != (d, dh):
-            raise ValueError(
-                f"matrix {k} has shape {m.shape}, expected {(d, dh)}"
-            )
-    return mats
-
-
-def signed_permutations(matrices: Sequence[object]) -> list[SignedPermutation]:
-    """Read each matrix as a signed partial permutation; ValueError for
-    an empty list, unequal shapes, inexact entries, entries outside -1,
-    0, 1, or two nonzeros in one row (else column, the first named)."""
-    out = []
-    for k, a in enumerate(_check_shapes(matrices), start=1):
-        rs, cs = np.nonzero(a)
-        rs, cs, vals = rs.tolist(), cs.tolist(), a[rs, cs].tolist()
-        bad = sorted({v for v in vals if v not in (-1, 1)})
-        if bad:
-            raise ValueError(f"matrix {k} has entries outside -1, 0, 1: {bad}")
-        rows = dict(zip(rs, zip(cs, vals)))
-        cols = dict(zip(cs, zip(rs, vals)))
-        for what, idx, held in (("row", rs, rows), ("column", cs, cols)):
-            if len(held) < len(idx):
-                twice = min(i for i, n in Counter(idx).items() if n > 1)
-                raise ValueError(f"matrix {k} has two nonzeros in {what} {twice + 1}")
-        out.append(SignedPermutation(a.shape, rows, cols))
-    return out
-
-
 def _pair_products(ls: list[SignedPermutation], doubled: bool):
     """Yield (side, I, J, size, cells) for every pair I <= J of the left
     family (X = L, size d), then of the right one (X = R, size dhat).
@@ -160,14 +106,13 @@ def _pair_products(ls: list[SignedPermutation], doubled: bool):
             yield side, i, j, size, cells
 
 
-def garden_check(matrices: Sequence[object]) -> GardenReport:
-    """Check both relation families exactly.
+def garden_check(ls: Sequence[SignedPermutation]) -> GardenReport:
+    """Check both relation families exactly on the colors L_1..L_N of
+    one shape, as graph.colors returns them for a graph.
 
     Violations are ordered by (side, I, J, row, col) with the left
-    family first, all indices 1-based.  Raises ValueError unless the
-    matrices are signed partial permutations of one shape.
+    family first, all indices 1-based.
     """
-    ls = signed_permutations(matrices)
     violations: list[Violation] = []
     for side, i, j, size, cells in _pair_products(ls, doubled=True):
         if i == j:
@@ -180,7 +125,7 @@ def garden_check(matrices: Sequence[object]) -> GardenReport:
 
 
 def product_tables(
-    matrices: Sequence[object],
+    ls: Sequence[SignedPermutation],
 ) -> tuple[list[tuple[str, np.ndarray]], list[tuple[str, np.ndarray]]]:
     """Labeled product sums in the layout used for printed tables.
 
@@ -190,7 +135,6 @@ def product_tables(
     once, not doubled).  The right side swaps the roles of L and R.
     """
     tables: dict[str, list[tuple[str, np.ndarray]]] = {"left": [], "right": []}
-    ls = signed_permutations(matrices)
     for side, i, j, size, cells in _pair_products(ls, doubled=False):
         m = np.zeros((size, size), dtype=np.int64)
         for (r, c), v in cells.items():

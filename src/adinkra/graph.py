@@ -1,4 +1,4 @@
-"""Valise graph data model and exact matrix extraction.
+"""Valise graph data model and the one representation of a color.
 
 A valise graph is a two-level bipartite graph: one row of bosons, one row
 of fermions.  Edges carry a color (one of N) and a sign (dashed = -1,
@@ -8,8 +8,8 @@ no vertex may touch two edges of the same color.
 
 Matrix convention: L_I is d x dhat with L_I[i, j] equal to the sign of
 the color-I edge between boson i+1 and fermion j+1 (0 if absent), and
-R_I is its transpose.  All arithmetic is exact over int64; no floats
-appear anywhere in this package.
+R_I is its transpose.  colors(g) holds each L_I as a SignedPermutation
+for every check; to_matrices builds dense int64 copies only for printing.
 
 Vertices are addressed 1-based in every report and file format, matching
 the usual convention for these graphs.  Internally a vertex is the pair
@@ -21,19 +21,18 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import GraphFormatError
-from .garden import signed_permutations
 
 Node = tuple[str, int]
 
 # Checked before anything is allocated in proportion to them: the filters
-# and the garden check loop over color pairs, and to_matrices allocates
+# and the garden check loop over color pairs, and dense matrices hold
 # n_colors * d * d_hat int64 cells (hypercube-16 would need 137 GB).
 MAX_COLORS = 256
 MAX_ROW_LENGTH = 1 << 16
@@ -191,15 +190,18 @@ def validate(g: ValiseGraph) -> list[str]:
     return problems
 
 
-def to_matrices(g: ValiseGraph) -> list[np.ndarray]:
-    """Extract the L matrices, one d x dhat int64 array per color.
+class SignedPermutation(NamedTuple):
+    """A matrix with entries in {-1, 0, 1} and at most one nonzero per
+    row and per column, held by its nonzeros (all indices 0-based)."""
 
-    L_I[i, j] is the sign of the color-(I+1) edge joining boson i+1 and
-    fermion j+1, or 0 when no such edge exists.  Raises ValueError when
-    the graph is not a well-formed valise graph, since the matrices
-    would not be faithful, or when they would hold more than
-    MAX_MATRIX_CELLS cells.
-    """
+    shape: tuple[int, int]
+    rows: dict[int, tuple[int, int]]  # row -> (col, sign)
+    cols: dict[int, tuple[int, int]]  # col -> (row, sign)
+
+
+def colors(g: ValiseGraph) -> list[SignedPermutation]:
+    """Each color's L_I as a signed partial permutation, read from the edges;
+    ValueError for an invalid graph or more than MAX_MATRIX_CELLS cells."""
     problems = validate(g)
     if problems:
         raise ValueError(
@@ -209,12 +211,68 @@ def to_matrices(g: ValiseGraph) -> list[np.ndarray]:
     if cells > MAX_MATRIX_CELLS:
         raise ValueError(f"{g.n_colors} x {g.d} x {g.d_hat} = {cells} matrix cells is "
                          f"above the limit MAX_MATRIX_CELLS = {MAX_MATRIX_CELLS}")
-    mats = [np.zeros((g.d, g.d_hat), dtype=np.int64) for _ in range(g.n_colors)]
+    perms = [SignedPermutation((g.d, g.d_hat), {}, {}) for _ in range(g.n_colors)]
     for e in g.edges:
-        mats[e.color - 1][e.boson - 1, e.fermion - 1] = e.sign
-    for m in mats:
+        p = perms[e.color - 1]
+        p.rows[e.boson - 1] = (e.fermion - 1, e.sign)
+        p.cols[e.fermion - 1] = (e.boson - 1, e.sign)
+    return perms
+
+
+def to_matrices(g: ValiseGraph) -> list[np.ndarray]:
+    """The L matrices as read-only d x dhat int64 arrays, for printing."""
+    mats = []
+    for p in colors(g):
+        m = np.zeros(p.shape, dtype=np.int64)
+        for r, (c, s) in p.rows.items():
+            m[r, c] = s
         m.setflags(write=False)
+        mats.append(m)
     return mats
+
+
+def as_exact(matrix: object) -> np.ndarray:
+    """Coerce to an exact int64 2-d array, refusing lossy input."""
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
+    if not np.issubdtype(a.dtype, np.integer):
+        exact = np.asarray(a, dtype=np.int64)
+        if not np.array_equal(exact, a):
+            raise ValueError("matrix entries must be exact integers")
+        a = exact
+    return a.astype(np.int64, copy=False)
+
+
+def _check_shapes(matrices: Sequence[object]) -> list[np.ndarray]:
+    if not matrices:
+        raise ValueError("need at least one matrix")
+    mats = [as_exact(m) for m in matrices]
+    for k, m in enumerate(mats, start=1):
+        if m.shape != mats[0].shape:
+            raise ValueError(f"matrix {k} has shape {m.shape}, expected {mats[0].shape}")
+    return mats
+
+
+def signed_permutations(matrices: Sequence[object]) -> list[SignedPermutation]:
+    """Read each matrix as a signed partial permutation; ValueError for
+    an empty list, unequal shapes, inexact entries, entries outside -1,
+    0, 1, or two nonzeros in one row (else column, the first named)."""
+    out = []
+    for k, a in enumerate(_check_shapes(matrices), start=1):
+        rs, cs = np.nonzero(a)
+        rs, cs, vals = rs.tolist(), cs.tolist(), a[rs, cs].tolist()
+        bad = sorted({v for v in vals if v not in (-1, 1)})
+        if bad:
+            raise ValueError(f"matrix {k} has entries outside -1, 0, 1: {bad}")
+        rows = dict(zip(rs, zip(cs, vals)))
+        cols = dict(zip(cs, zip(rs, vals)))
+        for what, idx, held in (("row", rs, rows), ("column", cs, cols)):
+            if len(held) < len(idx):
+                twice = min(i for i, n in Counter(idx).items() if n > 1)
+                raise ValueError(f"matrix {k} has two nonzeros in {what} {twice + 1}")
+        out.append(SignedPermutation(a.shape, rows, cols))
+    return out
 
 
 def from_matrices(
@@ -223,11 +281,8 @@ def from_matrices(
     boson_labels: Sequence[str] | None = None,
     fermion_labels: Sequence[str] | None = None,
 ) -> ValiseGraph:
-    """Build the valise graph whose L matrices are the given arrays.
-
-    Each matrix must have entries in {-1, 0, 1} with at most one nonzero
-    per row and per column; shapes must agree across colors.
-    """
+    """Build the valise graph whose L matrices are the given arrays, each
+    read by signed_permutations, which names the refusals."""
     perms = signed_permutations(matrices)
     d, dh = perms[0].shape
     edges = [
@@ -359,7 +414,7 @@ def from_json(text: str) -> ValiseGraph:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     _require(isinstance(obj, dict), "top level must be a JSON object")
     extra = sorted(set(obj) - set(_TOP_KEYS))

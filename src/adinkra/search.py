@@ -139,14 +139,11 @@ def topology_of(g: ValiseGraph) -> Topology:
     matchings; signs are discarded."""
     if g.d != g.d_hat:
         raise ValueError(f"need equal counts, got {g.d} vs {g.d_hat}")
-    maps: list[dict[int, int]] = [{} for _ in range(g.n_colors)]
-    for e in g.edges:
-        maps[e.color - 1][e.boson - 1] = e.fermion - 1
     out = []
-    for color, m in enumerate(maps, start=1):
-        if len(m) != g.d or len(set(m.values())) != g.d:
+    for color, p in enumerate(gm.colors(g), start=1):
+        if len(p.rows) != g.d:
             raise ValueError(f"color {color} is not a perfect matching")
-        out.append(tuple(m[i] for i in range(g.d)))
+        out.append(tuple(p.rows[i][0] for i in range(g.d)))
     return tuple(out)
 
 

@@ -11,13 +11,8 @@ import itertools
 import numpy as np
 
 from adinkra import Edge, ValiseGraph, gauge_fix, to_matrices
-from adinkra.garden import (
-    GardenReport,
-    Pair,
-    Violation,
-    _check_shapes,
-    color_pairs,
-)
+from adinkra.garden import GardenReport, Pair, Violation, color_pairs
+from adinkra.graph import _check_shapes
 from adinkra.isomorphism import Isomorphism
 from adinkra.search import (
     _SUPPORT_REASON,

@@ -14,6 +14,7 @@ from adinkra import (
     apply_dashing,
     candidacy,
     canonical_form,
+    colors,
     cube,
     diamond,
     from_json,
@@ -29,14 +30,13 @@ from adinkra import (
     run_search,
     search_dashings,
     to_json,
-    to_matrices,
     vertex_flip,
 )
 from conftest import all_sign_vectors, random_valise_graph, raw_feasible_count
 
 
 def _product_table(g):
-    left, right = product_tables(to_matrices(g))
+    left, right = product_tables(colors(g))
     return {label: m for label, m in left + right}
 
 
@@ -91,7 +91,7 @@ def test_criterion_3_rd_fails_candidacy_and_only_the_right_relations():
     rep = candidacy(g)
     assert not rep.is_candidate
     assert rep.reasons[0] == "unequal counts (6 vs 8)"
-    garden = garden_check(to_matrices(g))
+    garden = garden_check(colors(g))
     assert garden.left_ok and not garden.right_ok and not garden.ok
     assert all(v.side == "right" for v in garden.violations)
     first = garden.violations[0]
@@ -131,7 +131,7 @@ def test_criterion_5_lifted_rd_mirror_vertices_lack_colors_signs_ignored():
 
 def test_criterion_6_hypercube_family_garden_and_exhaustive_counts():
     for n in range(1, 7):
-        assert garden_check(to_matrices(hypercube(n))).ok, n
+        assert garden_check(colors(hypercube(n))).ok, n
     two = search_dashings(hypercube(2), exhaustive=True)
     three = search_dashings(hypercube(3), exhaustive=True)
     assert two.feasible and two.count_total == 8
@@ -154,7 +154,7 @@ def test_criterion_7_search_recovers_diamond_and_cube_within_budget():
     assert sol.multiplicity == 6
     assert sol.canonical_key == canonical_form(cube())
     assert is_isomorphic(sol.graph, cube(), signs="ignore")
-    assert garden_check(to_matrices(sol.graph)).ok
+    assert garden_check(colors(sol.graph)).ok
 
     slow = run_search(SearchSpec(4, 3), prune=False)
     assert slow.solutions == fast.solutions
@@ -182,12 +182,12 @@ def test_criterion_8_round_trips_gauge_orbit_and_quad_rule():
     current = dashed
     for _ in range(100):
         current = vertex_flip(current, nodes[int(rng.integers(len(nodes)))])
-        assert garden_check(to_matrices(current)).ok
+        assert garden_check(colors(current)).ok
 
     for g in (hypercube(2), hypercube(3)):
         for signs in all_sign_vectors(len(g.edges)):
             s = g.with_signs(signs)
-            assert odd_quad_check(s)[0] == garden_check(to_matrices(s)).ok
+            assert odd_quad_check(s)[0] == garden_check(colors(s)).ok
     print(
         "criterion 8: PASS (1000 round trips, 100 sign perturbations, "
         "100 gauge flips, quad rule exhaustive on 2- and 3-cubes)"

@@ -10,6 +10,7 @@ from adinkra import (
     bow_tie,
     builtin,
     canonical_form,
+    colors,
     cube,
     diamond,
     find_isomorphism,
@@ -107,7 +108,7 @@ def test_hypercube_counts():
 
 def test_hypercube_garden_passes():
     for n in range(1, 7):
-        assert garden_check(to_matrices(hypercube(n))).ok, n
+        assert garden_check(colors(hypercube(n))).ok, n
 
 
 def test_diamond_is_hypercube_2():
@@ -155,7 +156,7 @@ def test_tesseract_deletion_matches_rd_up_to_gauge():
     g = rd_from_tesseract_deletion()
     iso = find_isomorphism(g, rhombic_dodecahedron(), signs="gauge")
     assert iso is not None
-    rep = garden_check(to_matrices(g))
+    rep = garden_check(colors(g))
     assert rep.left_ok and not rep.right_ok
 
 

@@ -1,8 +1,12 @@
 """Command-line interface, driven through main(argv)."""
 
+import hashlib
 import io
 import json
 
+import pytest
+
+import adinkra.graph
 from adinkra import builtin, to_json, to_matrices
 from adinkra.cli import main
 from adinkra.fixtures import GRAPH_FILES, PRODUCT_FILES, fixture_text
@@ -68,6 +72,27 @@ def test_malformed_json_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(path))
     assert code == 2 and "error:" in err
     assert "line 1 column 2" in err  # parse location is preserved
+
+
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, on this.
+    deep = "[" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv in (["check", str(path)], ["garden", str(path)],
+                 ["matrices", str(path)], ["dashings", str(path)],
+                 ["export-dot", str(path), "-"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: not valid JSON:"), argv
+        assert err.count("\n") == 1, argv
+    for fname in PRODUCT_FILES + GRAPH_FILES:
+        (tmp_path / fname).write_text(fixture_text(fname))
+    (tmp_path / "rd_products.json").write_text(deep)
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: fixture rd_products.json is not valid JSON:")
+    assert err.count("\n") == 1
 
 
 def test_oversized_inputs_are_refused_before_allocating(capsys, monkeypatch):
@@ -329,3 +354,55 @@ def test_builtin_unknown(capsys):
 def test_no_arguments_shows_usage(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+def test_checks_never_build_dense_matrices(capsys, monkeypatch):
+    # Only `matrices` prints dense matrices; every check reads the
+    # graph's colors directly.
+    argvs = (
+        ["check", "builtin:ri"],
+        ["check", "builtin:tesseract", "--json"],
+        ["garden", "builtin:ri"],
+        ["garden", "builtin:cube", "--json"],
+        ["dashings", "builtin:tesseract", "--exhaustive"],
+        ["search", "-d", "4", "-n", "3"],
+        ["fixtures"],
+    )
+    before = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(g):
+        raise AssertionError("dense matrices built")
+
+    monkeypatch.setattr(adinkra.graph, "to_matrices", refuse)
+    assert [run(capsys, *argv) for argv in argvs] == before
+
+
+# sha256 of stdout, and the exit code: these bytes stay fixed however a
+# color is held inside.
+PINNED = [
+    ("check builtin:rd", 1, "a8652a93fb552b68c623136373aefd1e5039601d1e19fd9dc5c00dda139de50c"),
+    ("check builtin:rd --json", 1, "ab92301f39a79e3234af15cde9283c4c379d473d1f02995b1b124680abf34de8"),
+    ("garden builtin:rd", 1, "dbd5a7a60ce513d11e02c3acf18df01cec5ea68348f833b4699484cc195b453d"),
+    ("garden builtin:rd --json", 1, "3ed90bbb02ec09752213a6b2b162c10f317a6e9dafc4622a53576fcc88a838df"),
+    ("matrices builtin:rd", 0, "bb93f163270e8ab8156efa2308c19bd6f0707a07e38a22580ce81e37f8bb0f96"),
+    ("matrices builtin:rd --json", 0, "93928f5709f223028e8d5d6979de70d37d105ccc9461c4c88cbcd49128e0d7d7"),
+    ("check builtin:ri", 1, "070a49dc9b41f4df29c1aae60b1c9d3872a6315e31130b9887ee0a23345722b5"),
+    ("check builtin:ri --json", 1, "730124e020c17f2dc810e1c484e35d0e406636dff6a9398351be64e2e98bd534"),
+    ("garden builtin:ri", 1, "844faf729d7f8e21ee7822caee6282ca7ee68b4d525df027a66e8c127404ed27"),
+    ("garden builtin:ri --json", 1, "82f1039a300cc8d621096ed9b995a045d399c948a483f7e70363d2765e7e44ae"),
+    ("matrices builtin:ri", 0, "c3db21b0078325a3c28cb7add36ff6c5f6b25a007048f2677906a2a70cb3d89f"),
+    ("matrices builtin:ri --json", 0, "1edc7cf87f8d06ecf6b50d1268cef019f92f6cd1cf055ebcebe7f7bc0557bd6f"),
+    ("check builtin:hypercube-4", 0, "5c597ad13640281491a8a3a3d99b0149f9f2492e174bf5ffa4a265b22380022d"),
+    ("check builtin:hypercube-4 --json", 0, "177503aed40c553f2878ba3bfc1394c16e8415eac3a24a212eccfbb9713f36ba"),
+    ("garden builtin:hypercube-4", 0, "94b4039a75e4055ed3a08857a5ae5480e844344ada29e678ed1a7ce31d3d2419"),
+    ("garden builtin:hypercube-4 --json", 0, "f7ee19a3526636234c1c7fa1ad643c173e55aa9c7e7a607eaf25f6631e2dc132"),
+    ("matrices builtin:hypercube-4", 0, "91dc38f4f19b1eeff31ba2a2caf66028db2060c751d3808a5cb7f48d37e29b3d"),
+    ("matrices builtin:hypercube-4 --json", 0, "e2e4d631f833570fd7de54e4f672e08799671feb42ec12444a560ee318363903"),
+    ("dashings builtin:tesseract --exhaustive --json", 0, "7d753e60ad67833b28a7cf16b45181dfdcd79ca818225b5a7242763e9b71776c"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED, ids=[a for a, _, _ in PINNED])
+def test_cli_bytes_are_pinned(capsys, argv, code, digest):
+    got, out, err = run(capsys, *argv.split())
+    assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")

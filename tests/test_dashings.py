@@ -13,6 +13,7 @@ from adinkra import (
     ValiseGraph,
     apply_dashing,
     bow_tie,
+    colors,
     cube,
     diamond,
     garden_check,
@@ -24,7 +25,6 @@ from adinkra import (
     rhombic_icosahedron,
     run_search,
     search_dashings,
-    to_matrices,
     topology_graph,
     vertex_flip,
 )
@@ -55,11 +55,11 @@ def test_gauge_fix_disconnected():
 
 def test_vertex_flip_involution_and_gauge_invariance():
     g = cube()
-    assert garden_check(to_matrices(g)).ok
+    assert garden_check(colors(g)).ok
     flipped = vertex_flip(g, ("F", 2))
     assert flipped.edges != g.edges
     assert vertex_flip(flipped, ("F", 2)).edges == g.edges
-    assert garden_check(to_matrices(flipped)).ok
+    assert garden_check(colors(flipped)).ok
     with pytest.raises(ValueError, match="node must be"):
         vertex_flip(g, ("X", 1))
 
@@ -72,7 +72,7 @@ def test_odd_quad_rule_matches_garden():
     ok, bad = odd_quad_check(all_plus)
     assert not ok and len(bad) == 6
     assert all(len(q) == 4 for q in bad)
-    assert not garden_check(to_matrices(all_plus)).ok
+    assert not garden_check(colors(all_plus)).ok
 
 
 def test_odd_quad_check_with_assignment():
@@ -99,7 +99,7 @@ def test_cube_exhaustive_counts():
     assert res.count_gauge_orbits == 1
     assert res.count_total == 128
     dashed = apply_dashing(cube(), res.witness)
-    assert garden_check(to_matrices(dashed)).ok
+    assert garden_check(colors(dashed)).ok
     assert odd_quad_check(dashed)[0]
 
 

@@ -71,3 +71,22 @@ def test_corrupt_json_fixture(tmp_path):
     (tmp_path / "rd_products.json").write_text("{not json")
     with pytest.raises(GraphFormatError, match="not valid JSON"):
         load_fixture("rd_products.json", directory=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "cell, shown",
+    [(1.5, "1.5"), (True, "true"), (10**400, "1" + "0" * 400)],
+    ids=["float", "bool", "huge"],
+)
+def test_non_integer_or_huge_cells_differ(tmp_path, cell, shown):
+    # The recomputed cell is 1; a float, a boolean or an integer beyond
+    # int64 must not be coerced into a match, nor overflow.
+    _copy_fixtures(tmp_path)
+    doc = json.loads((tmp_path / "rd_products.json").read_text())
+    doc["left"][0]["matrix"][0][0] = cell
+    (tmp_path / "rd_products.json").write_text(json.dumps(doc))
+    matches, total, diffs = compare_products(directory=tmp_path)
+    assert (matches, total) == (49, 50)
+    assert diffs == [
+        f"rhombic-dodecahedron left L1*R1: cell (1,1) fixture {shown} recomputed 1"
+    ]

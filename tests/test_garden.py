@@ -1,7 +1,8 @@
 """Garden relations: exact products, residuals, violation reporting.
 
-The signed-permutation kernel is compared against the dense int64
-matrix products of conftest on builtins, hypercubes and random graphs.
+The signed-permutation kernel, which reads each color straight from the
+graph, is compared against the dense int64 matrix products of conftest
+on builtins, hypercubes and random graphs.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from adinkra import (
     Violation,
     builtin,
     color_pairs,
+    colors,
     diamond,
     from_matrices,
     format_matrix,
@@ -22,7 +24,7 @@ from adinkra import (
     rhombic_icosahedron,
     to_matrices,
 )
-from adinkra.garden import as_exact
+from adinkra.graph import as_exact
 from conftest import dense_garden_check, dense_product_tables, random_valise_graph
 
 
@@ -41,14 +43,14 @@ def test_as_exact_accepts_exact_floats_only():
 
 def test_garden_check_passes_hypercubes():
     for n in range(1, 5):
-        rep = garden_check(to_matrices(hypercube(n)))
+        rep = garden_check(colors(hypercube(n)))
         assert rep.ok and rep.left_ok and rep.right_ok
         assert rep.violations == ()
 
 
 def test_garden_check_flags_undashed_diamond():
     g = diamond().with_signs([1, 1, 1, 1])
-    rep = garden_check(to_matrices(g))
+    rep = garden_check(colors(g))
     assert not rep.ok and not rep.left_ok and not rep.right_ok
     assert Violation("left", 1, 2, 1, 2, 2) in rep.violations
     assert Violation("left", 1, 2, 2, 1, 2) in rep.violations
@@ -58,12 +60,12 @@ def test_garden_check_flags_undashed_diamond():
 
 
 def test_garden_check_residual_matrices():
-    rep = garden_check(to_matrices(diamond()))
+    rep = garden_check(colors(diamond()))
     assert (rep.n_colors, rep.d, rep.d_hat) == (2, 2, 2)
     assert rep.violations == ()
     # Residual cells of the undashed diamond lie in the 2 x 2 residuals
     # of the pairs color_pairs(2) names, and each cell is reported once.
-    bad = garden_check(to_matrices(diamond().with_signs([1, 1, 1, 1])))
+    bad = garden_check(colors(diamond().with_signs([1, 1, 1, 1])))
     assert {(v.color_i, v.color_j) for v in bad.violations} <= set(color_pairs(2))
     assert all(1 <= v.row <= 2 and 1 <= v.col <= 2 for v in bad.violations)
     cells = [v[:5] for v in bad.violations]
@@ -71,7 +73,7 @@ def test_garden_check_residual_matrices():
 
 
 def test_rd_split_verdict():
-    rep = garden_check(to_matrices(rhombic_dodecahedron()))
+    rep = garden_check(colors(rhombic_dodecahedron()))
     assert rep.left_ok and not rep.right_ok and not rep.ok
     assert all(v.side == "right" for v in rep.violations)
     # Non-square case: left residuals are 6x6, right are 8x8.
@@ -80,13 +82,12 @@ def test_rd_split_verdict():
 
 
 def test_ri_fails_both_sides():
-    rep = garden_check(to_matrices(rhombic_icosahedron()))
+    rep = garden_check(colors(rhombic_icosahedron()))
     assert not rep.left_ok and not rep.right_ok
 
 
 def test_product_tables_labels_and_diagonal():
-    mats = to_matrices(rhombic_dodecahedron())
-    left, right = product_tables(mats)
+    left, right = product_tables(colors(rhombic_dodecahedron()))
     assert [lab for lab, _ in left[:3]] == [
         "L1*R1",
         "L1*R2 + L2*R1",
@@ -99,10 +100,11 @@ def test_product_tables_labels_and_diagonal():
 
 
 def test_garden_check_shape_errors():
+    # Matrices reach the garden check only through from_matrices.
     with pytest.raises(ValueError, match="at least one"):
-        garden_check([])
+        from_matrices("x", [])
     with pytest.raises(ValueError, match="shape"):
-        garden_check([[[1, 0]], [[1], [0]]])
+        from_matrices("x", [[[1, 0]], [[1], [0]]])
 
 
 def test_format_matrix_aligns_columns():
@@ -112,7 +114,7 @@ def test_format_matrix_aligns_columns():
 
 
 def test_report_json_shape():
-    obj = garden_check(to_matrices(diamond())).to_json_obj()
+    obj = garden_check(colors(diamond())).to_json_obj()
     assert obj["ok"] and obj["violations"] == []
     assert obj["d"] == obj["d_hat"] == 2
 
@@ -129,16 +131,18 @@ def test_diagonal_left_right_equivalence_for_signed_permutations():
         for r in range(d):
             if keep[r]:
                 m[r, cols[r]] = rng.choice((-1, 1))
-        rep = garden_check([m])
+        rep = garden_check(colors(from_matrices("m", [m])))
+        assert rep == dense_garden_check([m])
         left = [v for v in rep.violations if v.side == "left"]
         right = [v for v in rep.violations if v.side == "right"]
         assert (not left) == (not right)
         assert rep.ok == (not left)
 
 
-def _assert_matches_dense(mats, tag):
-    assert garden_check(mats) == dense_garden_check(mats), tag
-    for sparse, dense in zip(product_tables(mats), dense_product_tables(mats)):
+def _assert_matches_dense(g, tag):
+    mats = to_matrices(g)
+    assert garden_check(colors(g)) == dense_garden_check(mats), tag
+    for sparse, dense in zip(product_tables(colors(g)), dense_product_tables(mats)):
         assert len(sparse) == len(dense), tag
         for (lab, m), (dense_lab, dense_m) in zip(sparse, dense):
             assert lab == dense_lab, tag
@@ -150,7 +154,7 @@ def test_kernel_matches_dense_on_builtins_and_hypercubes():
     graphs = [builtin(name) for name in BUILTIN_NAMES if "<" not in name]
     graphs += [hypercube(n) for n in range(1, 9)]
     for g in graphs:
-        _assert_matches_dense(to_matrices(g), g.name)
+        _assert_matches_dense(g, g.name)
 
 
 def test_kernel_matches_dense_on_random_graphs():
@@ -161,7 +165,7 @@ def test_kernel_matches_dense_on_random_graphs():
         if t % 2:
             g = g.with_signs([int(s) for s in rng.choice((-1, 1), len(g.edges))])
         rectangular += g.d != g.d_hat
-        _assert_matches_dense(to_matrices(g), g.name)
+        _assert_matches_dense(g, g.name)
     assert rectangular >= 100
 
 
@@ -175,6 +179,5 @@ def test_kernel_matches_dense_on_random_graphs():
     ],
 )
 def test_non_signed_permutations_are_refused(mats, message):
-    for f in (garden_check, product_tables, lambda m: from_matrices("x", m)):
-        with pytest.raises(ValueError, match=message):
-            f(mats)
+    with pytest.raises(ValueError, match=message):
+        from_matrices("x", mats)

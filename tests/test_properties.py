@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from adinkra import (
     Edge,
     ValiseGraph,
+    colors,
     from_matrices,
     garden_check,
     gauge_fix,
@@ -59,8 +60,9 @@ def signed_partial_permutations(draw, max_side=6, max_colors=4):
 @settings(max_examples=300, **PROPERTY)
 @given(signed_partial_permutations())
 def test_kernel_equals_dense_oracle(mats):
-    assert garden_check(mats) == dense_garden_check(mats)
-    for sparse, dense in zip(product_tables(mats), dense_product_tables(mats)):
+    ls = colors(from_matrices("drawn", mats))
+    assert garden_check(ls) == dense_garden_check(mats)
+    for sparse, dense in zip(product_tables(ls), dense_product_tables(mats)):
         assert [lab for lab, _ in sparse] == [lab for lab, _ in dense]
         for (_, m), (_, dense_m) in zip(sparse, dense):
             assert m.shape == dense_m.shape and np.array_equal(m, dense_m)

@@ -11,6 +11,7 @@ from adinkra import (
     SearchSpec,
     candidacy,
     canonical_form,
+    colors,
     cube,
     diamond,
     garden_check,
@@ -19,7 +20,6 @@ from adinkra import (
     rhombic_dodecahedron,
     run_search,
     tesseract,
-    to_matrices,
     topology_graph,
     topology_of,
 )
@@ -408,7 +408,7 @@ def test_run_search_d8_n6():
 def test_witnesses_satisfy_garden():
     for spec in (SearchSpec(2, 2), SearchSpec(4, 3), SearchSpec(4, 2)):
         for sol in run_search(spec).solutions:
-            assert garden_check(to_matrices(sol.graph)).ok
+            assert garden_check(colors(sol.graph)).ok
 
 
 def test_tesseract_topology_is_identity_and_fpf_involutions():
