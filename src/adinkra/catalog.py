@@ -218,9 +218,6 @@ def lift(g: ValiseGraph) -> ValiseGraph:
     The sign conventions on the mirror block and the new matching are a
     documented choice; candidacy verdicts do not depend on them.
     """
-    problems = gm.validate(g)
-    if problems:
-        raise ValueError("cannot lift an invalid graph: " + "; ".join(problems))
     d, dh, n = g.d, g.d_hat, g.n_colors
     bosons = g.bosons + tuple(lab + "'" for lab in g.fermions)
     fermions = g.fermions + tuple(lab + "'" for lab in g.bosons)

@@ -98,14 +98,11 @@ def vertex_flip(g: ValiseGraph, node: Node) -> ValiseGraph:
 
 
 def gauge_fix(g: ValiseGraph) -> tuple[int, ...]:
-    """Spanning-forest edge indices (0-based, ascending).
+    """The edges of graph.spanning_forest as 0-based indices, ascending.
 
     Fixing these edges to +1 leaves E - V + #components free edges;
     each gauge orbit contains exactly one such representative.
     """
-    problems = gm.validate(g)
-    if problems:
-        raise ValueError("graph is not valid: " + "; ".join(problems))
     return tuple(sorted(idx for idx, _, _ in gm.spanning_forest(g)))
 
 

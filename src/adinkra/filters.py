@@ -183,9 +183,6 @@ def candidacy(g: ValiseGraph) -> CandidacyReport:
     boson to a fermion); raw input that violates it cannot parse.  It
     is still reported as its own line for symmetry with file checking.
     """
-    problems = gm.validate(g)
-    if problems:
-        raise ValueError("graph is not valid: " + "; ".join(problems))
     eq_ok, counts = check_equal_counts(g)
     cov_ok, misses = check_color_coverage(g)
     quad_ok, bad = check_bicolor_quads(g)

@@ -110,6 +110,9 @@ def compare_products(
         if not isinstance(data, dict) or "graph" not in data:
             raise GraphFormatError(f"fixture {name} is missing the graph name")
         gname = data["graph"]
+        if not isinstance(gname, str):
+            raise GraphFormatError(f"fixture {name}: graph name must be a string, "
+                                   f"got {json.dumps(gname)}")
         g = catalog.builtin(gname)
         left, right = product_tables(gm.colors(g))
         for side, computed in (("left", left), ("right", right)):

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import SignedPermutation, as_exact
+from .graph import MAX_MATRIX_CELLS, SignedPermutation, as_exact
 
 Pair = tuple[int, int]  # 1-based color pair (I, J) with I <= J
 
@@ -133,7 +133,15 @@ def product_tables(
     L_I R_J + L_J R_I, labeled "L<I>*R<I>" on the diagonal and
     "L<I>*R<J> + L<J>*R<I>" off it (the diagonal product is printed
     once, not doubled).  The right side swaps the roles of L and R.
+    ValueError, before anything is allocated, when the N(N+1)/2 (d^2 +
+    dhat^2) cells of all tables exceed MAX_MATRIX_CELLS.
     """
+    d, dh = ls[0].shape
+    pairs = len(ls) * (len(ls) + 1) // 2
+    cells = pairs * (d * d + dh * dh)
+    if cells > MAX_MATRIX_CELLS:
+        raise ValueError(f"{pairs} x ({d}^2 + {dh}^2) = {cells} product table cells "
+                         f"is above the limit MAX_MATRIX_CELLS = {MAX_MATRIX_CELLS}")
     tables: dict[str, list[tuple[str, np.ndarray]]] = {"left": [], "right": []}
     for side, i, j, size, cells in _pair_products(ls, doubled=False):
         m = np.zeros((size, size), dtype=np.int64)

@@ -4,7 +4,8 @@ A valise graph is a two-level bipartite graph: one row of bosons, one row
 of fermions.  Edges carry a color (one of N) and a sign (dashed = -1,
 solid = +1).  For a graph to encode a pair of signed permutation matrix
 lists (L_I, R_I) the edges of each color must form a partial matching:
-no vertex may touch two edges of the same color.
+no vertex may touch two edges of the same color.  ValiseGraph checks
+this and every rule of validate when constructed, so no layer re-checks.
 
 Matrix convention: L_I is d x dhat with L_I[i, j] equal to the sign of
 the color-I edge between boson i+1 and fermion j+1 (0 if absent), and
@@ -66,13 +67,19 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class ValiseGraph:
-    """Immutable edge-colored signed bipartite graph in valise form."""
+    """Immutable edge-colored signed bipartite graph in valise form, valid
+    by construction: GraphFormatError joins every problem validate finds."""
 
     name: str
     n_colors: int
     bosons: tuple[str, ...]
     fermions: tuple[str, ...]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self) -> None:
+        problems = validate(self)
+        if problems:
+            raise GraphFormatError("; ".join(problems))
 
     @property
     def d(self) -> int:
@@ -137,10 +144,11 @@ def _check_label_row(what: str, labels: object) -> list[str]:
 def validate(g: ValiseGraph) -> list[str]:
     """Return all format violations, deterministically ordered.
 
-    An empty list means the graph is a well-formed valise graph: edge
-    endpoints and colors in range, signs in {-1, +1}, no repeated
-    (boson, fermion, color) triple, and each color a partial matching.
-    Violations are reported with 1-based edge positions.
+    An empty list means the graph is a well-formed valise graph: label
+    rows and n_colors within limits, edge endpoints and colors in range,
+    signs in {-1, +1}, no repeated (boson, fermion, color) triple, and
+    each color a partial matching.  Violations name 1-based edge
+    positions.  Every ValiseGraph passes: its construction calls this.
     """
     problems = _check_label_row("boson", g.bosons) + _check_label_row(
         "fermion", g.fermions
@@ -201,12 +209,7 @@ class SignedPermutation(NamedTuple):
 
 def colors(g: ValiseGraph) -> list[SignedPermutation]:
     """Each color's L_I as a signed partial permutation, read from the edges;
-    ValueError for an invalid graph or more than MAX_MATRIX_CELLS cells."""
-    problems = validate(g)
-    if problems:
-        raise ValueError(
-            "graph is not a valid valise graph: " + "; ".join(problems)
-        )
+    ValueError for more than MAX_MATRIX_CELLS cells."""
     cells = g.n_colors * g.d * g.d_hat
     if cells > MAX_MATRIX_CELLS:
         raise ValueError(f"{g.n_colors} x {g.d} x {g.d_hat} = {cells} matrix cells is "
@@ -408,9 +411,9 @@ def _require(cond: bool, msg: str) -> None:
 def from_json(text: str) -> ValiseGraph:
     """Parse the JSON wire format, rejecting malformed input loudly.
 
-    Unknown keys, wrong types, out-of-range indices, repeated
-    (b, f, c) triples, and matching violations are all rejected with a
-    GraphFormatError naming the problem.
+    Unknown keys and wrong types are rejected here, everything validate
+    checks by construction, each with a GraphFormatError naming the
+    problem.
     """
     try:
         obj = json.loads(text)
@@ -446,17 +449,13 @@ def from_json(text: str) -> ValiseGraph:
                 f'edge {pos}: "{k}" must be an integer',
             )
         edges.append(Edge(raw["b"], raw["f"], raw["c"], raw["s"]))
-    g = ValiseGraph(
+    return ValiseGraph(
         name=obj["name"],
         n_colors=obj["colors"],
         bosons=tuple(obj["bosons"]),
         fermions=tuple(obj["fermions"]),
         edges=tuple(edges),
     )
-    problems = validate(g)
-    if problems:
-        raise GraphFormatError("; ".join(problems))
-    return g
 
 
 def load(path: str) -> ValiseGraph:

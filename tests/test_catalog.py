@@ -141,9 +141,8 @@ def test_lift_of_cube_is_tesseract_unsigned():
 def test_lift_rejects_invalid_input():
     from adinkra import Edge, ValiseGraph
 
-    bad = ValiseGraph("bad", 1, ("a",), ("x",), (Edge(1, 1, 1, 7),))
-    with pytest.raises(ValueError, match="cannot lift"):
-        lift(bad)
+    with pytest.raises(GraphFormatError, match="^edge 1: sign must be -1 or \\+1, got 7$"):
+        lift(ValiseGraph("bad", 1, ("a",), ("x",), (Edge(1, 1, 1, 7),)))
 
 
 def test_tesseract_deletion_counts():

@@ -116,6 +116,23 @@ def test_oversized_inputs_are_refused_before_allocating(capsys, monkeypatch):
         assert "above the limit MAX_MATRIX_CELLS" in err, command
 
 
+def test_product_tables_are_refused_above_the_cell_limit(capsys, monkeypatch):
+    # One color on 4096 + 4096 vertices has 2^24 matrix cells, at the
+    # limit, but its two 4096 x 4096 product tables would hold 2^25.
+    labels = [f"v{k}" for k in range(4096)]
+    sparse = json.dumps({"name": "sparse", "colors": 1, "bosons": labels,
+                         "fermions": labels, "edges": []})
+    for argv in (["garden", "-"], ["garden", "-", "--json"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(sparse))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == ("error: 1 x (4096^2 + 4096^2) = 33554432 product table "
+                       "cells is above the limit MAX_MATRIX_CELLS = 16777216\n")
+    code, out, err = run(capsys, "garden", "builtin:hypercube-10")
+    assert code == 2 and out == ""
+    assert "= 28835840 product table cells is above the limit" in err
+
+
 def test_hypercube_above_the_matrix_limit_is_refused_unbuilt(capsys):
     # hypercube-12 would be 12 x 2048 x 2048 cells; the builder refuses it
     # before making its edges (to_matrices would refuse only after).
@@ -320,6 +337,19 @@ def test_fixtures_detects_damage(capsys, tmp_path):
     code, out, _ = run(capsys, "fixtures", "--dir", str(tmp_path))
     assert code == 1
     assert "49/50 matrices match" in out
+
+
+@pytest.mark.parametrize("gname", [["x"], 5])
+def test_fixtures_graph_name_must_be_a_string(capsys, tmp_path, gname):
+    for fname in PRODUCT_FILES + GRAPH_FILES:
+        (tmp_path / fname).write_text(fixture_text(fname))
+    doc = json.loads((tmp_path / "ri_products.json").read_text())
+    doc["graph"] = gname
+    (tmp_path / "ri_products.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fixtures", "--dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == ("error: fixture ri_products.json: graph name must be a "
+                   f"string, got {json.dumps(gname)}\n")
 
 
 def test_fixtures_missing_dir(capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from adinkra import (
     Edge,
+    GraphFormatError,
     ValiseGraph,
     bicolor_components,
     bow_tie,
@@ -187,9 +188,8 @@ def test_candidacy_invariant_under_relabeling():
 
 
 def test_candidacy_rejects_invalid_graph():
-    g = ValiseGraph("bad", 1, ("a",), ("x",), (Edge(1, 1, 1, 3),))
-    with pytest.raises(ValueError, match="not valid"):
-        candidacy(g)
+    with pytest.raises(GraphFormatError, match="^edge 1: sign must be -1 or \\+1, got 3$"):
+        candidacy(ValiseGraph("bad", 1, ("a",), ("x",), (Edge(1, 1, 1, 3),)))
 
 
 def test_random_graphs_sign_invariance():

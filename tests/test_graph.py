@@ -1,5 +1,7 @@
 """Data model: validation, matrix extraction, JSON wire format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,38 +39,51 @@ def test_validate_clean_catalog():
 
 
 def test_validate_reports_every_problem_in_order():
-    g = ValiseGraph(
-        name="broken",
-        n_colors=2,
-        bosons=("a",),
-        fermions=("x", "y"),
-        edges=(
-            Edge(1, 1, 1, 1),
-            Edge(2, 1, 1, 1),  # boson out of range, also a matching clash
-            Edge(1, 2, 3, 2),  # bad color and bad sign
-            Edge(1, 1, 1, 1),  # duplicate of edge 1
-        ),
-    )
-    problems = validate(g)
-    assert problems == [
+    with pytest.raises(GraphFormatError) as exc:
+        ValiseGraph(
+            name="broken",
+            n_colors=2,
+            bosons=("a",),
+            fermions=("x", "y"),
+            edges=(
+                Edge(1, 1, 1, 1),
+                Edge(2, 1, 1, 1),  # boson out of range, also a matching clash
+                Edge(1, 2, 3, 2),  # bad color and bad sign
+                Edge(1, 1, 1, 1),  # duplicate of edge 1
+            ),
+        )
+    assert str(exc.value) == "; ".join([
         "edge 2: boson index 2 out of range 1..1",
         "edge 3: color 3 out of range 1..2",
         "edge 3: sign must be -1 or +1, got 2",
         "edges 1 and 2: fermion 1 has two edges of color 1",
         "edges 1 and 4: duplicate edge (boson 1, fermion 1, color 1)",
-    ]
+    ])
 
 
 def test_validate_names_matching_violation():
-    g = ValiseGraph(
-        name="clash",
-        n_colors=1,
-        bosons=("a",),
-        fermions=("x", "y"),
-        edges=(Edge(1, 1, 1, 1), Edge(1, 2, 1, 1)),
-    )
-    problems = validate(g)
-    assert problems == ["edges 1 and 2: boson 1 has two edges of color 1"]
+    with pytest.raises(GraphFormatError) as exc:
+        ValiseGraph(
+            name="clash",
+            n_colors=1,
+            bosons=("a",),
+            fermions=("x", "y"),
+            edges=(Edge(1, 1, 1, 1), Edge(1, 2, 1, 1)),
+        )
+    assert str(exc.value) == "edges 1 and 2: boson 1 has two edges of color 1"
+
+
+def test_construction_refuses_every_invalid_graph():
+    with pytest.raises(GraphFormatError, match=r"^edge 1: color 3 out of range 1\.\.1$"):
+        ValiseGraph("bad", 1, ("a",), ("x",), (Edge(1, 1, 3, 1),))
+    g = cube()
+    with pytest.raises(GraphFormatError, match=r"^edge 1: sign must be -1 or \+1, got 0$"):
+        g.with_signs([0] + [1] * (len(g.edges) - 1))
+    with pytest.raises(GraphFormatError) as exc:
+        dataclasses.replace(g, n_colors=0)
+    assert str(exc.value).startswith("n_colors must be at least 1, got 0; ")
+    with pytest.raises(GraphFormatError, match="^boson labels must be a tuple of strings$"):
+        from_matrices("m", [[[1]]], boson_labels=[1])
 
 
 def test_to_matrices_matches_edge_signs():
@@ -84,20 +99,23 @@ def test_validate_size_limits():
         return ValiseGraph("big", n_colors, ("b",) * d, (), ())
 
     assert validate(empty(MAX_COLORS)) == []
-    assert validate(empty(MAX_COLORS + 1)) == [
+    with pytest.raises(GraphFormatError) as exc:
+        empty(MAX_COLORS + 1)
+    assert str(exc.value) == (
         f"n_colors {MAX_COLORS + 1} is above the limit MAX_COLORS = {MAX_COLORS}"
-    ]
+    )
     assert validate(empty(1, MAX_ROW_LENGTH)) == []
-    assert validate(empty(1, MAX_ROW_LENGTH + 1)) == [
+    with pytest.raises(GraphFormatError) as exc:
+        empty(1, MAX_ROW_LENGTH + 1)
+    assert str(exc.value) == (
         f"boson row has {MAX_ROW_LENGTH + 1} labels, above the limit "
         f"MAX_ROW_LENGTH = {MAX_ROW_LENGTH}"
-    ]
+    )
 
 
 def test_to_matrices_rejects_invalid():
-    g = ValiseGraph("bad", 1, ("a",), ("x",), (Edge(1, 1, 1, 5),))
-    with pytest.raises(ValueError, match="sign"):
-        to_matrices(g)
+    with pytest.raises(GraphFormatError, match="sign"):
+        ValiseGraph("bad", 1, ("a",), ("x",), (Edge(1, 1, 1, 5),))
 
 
 def test_from_matrices_round_trip_structure():
