@@ -13,6 +13,7 @@ command to machine-readable output, written to DEST or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -216,14 +217,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     hidden = len(outcome.solutions) - len(shown)
     if args.json is not None:
         obj = outcome.to_json_obj()
-        obj["solutions"] = [
-            {
-                "graph": gm.to_json_obj(s.graph),
-                "connected": s.connected,
-                "multiplicity": s.multiplicity,
-            }
-            for s in shown
-        ]
+        if not args.allow_disconnected:
+            obj["solutions"] = [s for s in obj["solutions"] if s["connected"]]
         obj["disconnected_suppressed"] = hidden
         _emit_json(obj, args.json)
         return 0 if shown else 1
@@ -299,7 +294,9 @@ def _add_json_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="adinkra",
         description=(
@@ -370,9 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

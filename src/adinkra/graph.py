@@ -103,12 +103,6 @@ class ValiseGraph:
     def vertices(self) -> tuple[Vertex, ...]:
         return self.boson_vertices() + self.fermion_vertices()
 
-    def vertex(self, node: Node) -> Vertex:
-        kind, idx = node
-        if kind == "B":
-            return Vertex(Statistics.BOSON, idx, self.bosons[idx - 1])
-        return Vertex(Statistics.FERMION, idx, self.fermions[idx - 1])
-
     def with_name(self, name: str) -> "ValiseGraph":
         return dataclasses.replace(self, name=name)
 
@@ -129,56 +123,68 @@ def node_str(node: Node) -> str:
     return f"{node[0]}{node[1]}"
 
 
-def _check_label_row(what: str, labels: object) -> list[str]:
-    problems = []
-    if not isinstance(labels, tuple) or not all(
-        isinstance(x, str) for x in labels
-    ):
-        problems.append(f"{what} labels must be a tuple of strings")
-    elif len(labels) > MAX_ROW_LENGTH:
-        problems.append(f"{what} row has {len(labels)} labels, above the "
-                        f"limit MAX_ROW_LENGTH = {MAX_ROW_LENGTH}")
-    return problems
-
-
 def validate(g: ValiseGraph) -> list[str]:
     """Return all format violations, deterministically ordered.
 
-    An empty list means the graph is a well-formed valise graph: label
-    rows and n_colors within limits, edge endpoints and colors in range,
-    signs in {-1, +1}, no repeated (boson, fermion, color) triple, and
-    each color a partial matching.  Violations name 1-based edge
+    An empty list means the graph is a well-formed valise graph: name a
+    str, n_colors an int within limits, label rows tuples of str within
+    limits, edges a tuple of Edge with int fields, endpoints and colors
+    in range, signs in {-1, +1}, no repeated (boson, fermion, color)
+    triple, and each color a partial matching.  An int is exactly int,
+    never a bool.  A wrongly typed field is one problem, and the checks
+    that need its value are skipped.  Violations name 1-based edge
     positions.  Every ValiseGraph passes: its construction calls this.
     """
-    problems = _check_label_row("boson", g.bosons) + _check_label_row(
-        "fermion", g.fermions
-    )
-    if g.n_colors < 1:
-        problems.append(f"n_colors must be at least 1, got {g.n_colors}")
-    elif g.n_colors > MAX_COLORS:
-        problems.append(f"n_colors {g.n_colors} is above the limit "
+    problems = []
+    if not isinstance(g.name, str):
+        problems.append(f"name must be a string, got {type(g.name).__name__}")
+    sizes = []  # each row's length, None when its type is wrong
+    for what, labels in (("boson", g.bosons), ("fermion", g.fermions)):
+        ok = isinstance(labels, tuple) and all(isinstance(x, str) for x in labels)
+        sizes.append(len(labels) if ok else None)
+        if not ok:
+            problems.append(f"{what} labels must be a tuple of strings")
+        elif len(labels) > MAX_ROW_LENGTH:
+            problems.append(f"{what} row has {len(labels)} labels, above the "
+                            f"limit MAX_ROW_LENGTH = {MAX_ROW_LENGTH}")
+    d, dh = sizes
+    n = g.n_colors
+    if type(n) is not int:
+        problems.append(f"n_colors must be an integer, got {type(n).__name__}")
+        n = None
+    elif n < 1:
+        problems.append(f"n_colors must be at least 1, got {n}")
+    elif n > MAX_COLORS:
+        problems.append(f"n_colors {n} is above the limit "
                         f"MAX_COLORS = {MAX_COLORS}")
-    d, dh = g.d, g.d_hat
+    if not isinstance(g.edges, tuple):
+        problems.append(f"edges must be a tuple of Edge, got {type(g.edges).__name__}")
+        return problems
 
+    typed = []
     for pos, e in enumerate(g.edges, start=1):
-        if not (1 <= e.boson <= d):
-            problems.append(
-                f"edge {pos}: boson index {e.boson} out of range 1..{d}"
-            )
-        if not (1 <= e.fermion <= dh):
+        if not isinstance(e, Edge):
+            problems.append(f"edge {pos} must be an Edge, got {type(e).__name__}")
+            continue
+        if not type(e.boson) is type(e.fermion) is type(e.color) is type(e.sign) is int:
+            problems += [f"edge {pos}: {f} must be an integer, got {type(v).__name__}"
+                         for f, v in zip(Edge._fields, e) if type(v) is not int]
+            continue
+        typed.append((pos, e))
+        if d is not None and not 1 <= e.boson <= d:
+            problems.append(f"edge {pos}: boson index {e.boson} out of range 1..{d}")
+        if dh is not None and not 1 <= e.fermion <= dh:
             problems.append(
                 f"edge {pos}: fermion index {e.fermion} out of range 1..{dh}"
             )
-        if not (1 <= e.color <= g.n_colors):
-            problems.append(
-                f"edge {pos}: color {e.color} out of range 1..{g.n_colors}"
-            )
+        if n is not None and not 1 <= e.color <= n:
+            problems.append(f"edge {pos}: color {e.color} out of range 1..{n}")
         if e.sign not in (-1, 1):
             problems.append(f"edge {pos}: sign must be -1 or +1, got {e.sign}")
 
     seen_triple: dict[tuple[int, int, int], int] = {}
     seen_slot: dict[tuple[str, int, int], int] = {}
-    for pos, e in enumerate(g.edges, start=1):
+    for pos, e in typed:
         triple = (e.boson, e.fermion, e.color)
         if triple in seen_triple:
             problems.append(
@@ -411,9 +417,9 @@ def _require(cond: bool, msg: str) -> None:
 def from_json(text: str) -> ValiseGraph:
     """Parse the JSON wire format, rejecting malformed input loudly.
 
-    Unknown keys and wrong types are rejected here, everything validate
-    checks by construction, each with a GraphFormatError naming the
-    problem.
+    Only the JSON shape is checked here (keys, label lists, edge
+    objects); the field rules, types included, are validate's, run by
+    construction.  Every refusal is a GraphFormatError naming it.
     """
     try:
         obj = json.loads(text)
@@ -424,12 +430,8 @@ def from_json(text: str) -> ValiseGraph:
     _require(not extra, f"unknown keys: {', '.join(extra)}")
     missing = [k for k in _TOP_KEYS if k not in obj]
     _require(not missing, f"missing keys: {', '.join(missing)}")
-    _require(isinstance(obj["name"], str), '"name" must be a string')
-    _require(
-        isinstance(obj["colors"], int) and not isinstance(obj["colors"], bool),
-        '"colors" must be an integer',
-    )
     for key in ("bosons", "fermions"):
+        # Checked here, or tuple() would split a string into labels.
         _require(
             isinstance(obj[key], list)
             and all(isinstance(x, str) for x in obj[key]),
@@ -443,11 +445,6 @@ def from_json(text: str) -> ValiseGraph:
         _require(not extra, f"edge {pos}: unknown keys: {', '.join(extra)}")
         missing = [k for k in _EDGE_KEYS if k not in raw]
         _require(not missing, f"edge {pos}: missing keys: {', '.join(missing)}")
-        for k in _EDGE_KEYS:
-            _require(
-                isinstance(raw[k], int) and not isinstance(raw[k], bool),
-                f'edge {pos}: "{k}" must be an integer',
-            )
         edges.append(Edge(raw["b"], raw["f"], raw["c"], raw["s"]))
     return ValiseGraph(
         name=obj["name"],

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import adinkra.graph
-from adinkra import builtin, to_json, to_matrices
+from adinkra import builtin, cli, to_json, to_matrices
 from adinkra.cli import main
 from adinkra.fixtures import GRAPH_FILES, PRODUCT_FILES, fixture_text
 
@@ -93,6 +93,24 @@ def test_deeply_nested_json_is_usage_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error: fixture rd_products.json is not valid JSON:")
     assert err.count("\n") == 1
+
+
+def test_wrongly_typed_json_fields_are_usage_errors(capsys, tmp_path):
+    obj = adinkra.graph.to_json_obj(builtin("diamond"))
+    obj["colors"], obj["edges"][2]["s"] = 2.0, True
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: n_colors must be an integer, got float; "
+                   "edge 3: sign must be an integer, got bool\n")
+
+
+def test_main_builds_the_parser_at_most_once(capsys):
+    cli.build_parser.cache_clear()
+    run(capsys, "builtin", "--list")
+    run(capsys, "search", "-d", "2", "-n", "2")
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_oversized_inputs_are_refused_before_allocating(capsys, monkeypatch):

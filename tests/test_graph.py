@@ -86,6 +86,42 @@ def test_construction_refuses_every_invalid_graph():
         from_matrices("m", [[[1]]], boson_labels=[1])
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(n_colors="3"), "n_colors must be an integer, got str"),
+        (dict(n_colors=2.0), "n_colors must be an integer, got float"),
+        (dict(n_colors=True), "n_colors must be an integer, got bool"),
+        (dict(name=5), "name must be a string, got int"),
+        (dict(bosons=None), "boson labels must be a tuple of strings"),
+        (dict(edges=[Edge(1, 1, 1, 1)]), "edges must be a tuple of Edge, got list"),
+        (dict(edges=((1, 1, 1, 1),)), "edge 1 must be an Edge, got tuple"),
+        (dict(edges=(Edge("1", 1, 1, 1),)), "edge 1: boson must be an integer, got str"),
+        (dict(edges=(Edge(1, 1, 1, True),)), "edge 1: sign must be an integer, got bool"),
+        (dict(edges=(Edge(1, np.int64(1), 1, 1),)),
+         "edge 1: fermion must be an integer, got int64"),
+        # A wrongly typed row or n_colors skips the range checks needing it.
+        (dict(n_colors=None, bosons=["a"], edges=(
+            Edge(1, 1, 1.0, 1), Edge(2, 5, 9, 1), (1, 1, 1, 1), Edge(2, 5, 9, 1),
+        )), "boson labels must be a tuple of strings; "
+            "n_colors must be an integer, got NoneType; "
+            "edge 1: color must be an integer, got float; "
+            "edge 2: fermion index 5 out of range 1..1; "
+            "edge 3 must be an Edge, got tuple; "
+            "edge 4: fermion index 5 out of range 1..1; "
+            "edges 2 and 4: duplicate edge (boson 2, fermion 5, color 9)"),
+    ],
+)
+def test_construction_refuses_wrongly_typed_fields(fields, message):
+    # Refused with GraphFormatError: never a TypeError or AttributeError,
+    # and never a graph whose to_json text from_json would not read back.
+    base = dict(name="t", n_colors=1, bosons=("a",), fermions=("x",),
+                edges=(Edge(1, 1, 1, 1),))
+    with pytest.raises(GraphFormatError) as exc:
+        ValiseGraph(**{**base, **fields})
+    assert str(exc.value) == message
+
+
 def test_to_matrices_matches_edge_signs():
     g = diamond()
     l1, l2 = to_matrices(g)

@@ -6,9 +6,12 @@ drawn by hypothesis (skipped when hypothesis is not installed).
 - the forest-based gauge test against the 2^V vertex-flip scan;
 - the topology orbit walk against every color order and relabeling;
 - canonical_form, the least-member test and |Aut| against every color
-  order and relabeling.
+  order and relabeling;
+- construction from arbitrary field values against the JSON round trip:
+  a graph that builds serializes to JSON that reads back as itself.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,12 +22,15 @@ from hypothesis import given, settings, strategies as st
 
 from adinkra import (
     Edge,
+    GraphFormatError,
     ValiseGraph,
     colors,
+    from_json,
     from_matrices,
     garden_check,
     gauge_fix,
     product_tables,
+    to_json,
 )
 from adinkra.isomorphism import Isomorphism, _gauge_compatible
 from adinkra.search import _least, _orbit, canonical_form
@@ -156,3 +162,53 @@ def test_least_member_and_stabilizer_equal_brute_force(topology):
     key, aut = _least(least, stop=True)
     assert (least[0], *key) == least
     assert len(orbit) * aut == math.factorial(d) * math.factorial(n)
+
+
+# Every type a caller or a JSON file might hand over for a field.
+HOSTILE = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=2), st.integers(),
+    st.integers(-1, 3).map(np.int64), st.lists(st.integers(-1, 3), max_size=2),
+)
+
+
+@st.composite
+def graph_fields(draw):
+    """The five ValiseGraph fields of a valid graph, then at most one of
+    them, a label, an edge or an edge field replaced by a hostile value,
+    or a tuple by a list."""
+    d, dh, n = (draw(st.integers(1, 3)) for _ in range(3))
+    labels = st.text(max_size=2)
+    edges = draw(st.lists(
+        st.builds(Edge, st.integers(1, d), st.integers(1, dh), st.integers(1, n),
+                  st.sampled_from((-1, 1))),
+        max_size=4,
+        unique_by=(lambda e: (e.boson, e.color), lambda e: (e.fermion, e.color)),
+    ))
+    fields = dict(name=draw(labels), n_colors=n,
+                  bosons=draw(st.lists(labels, min_size=d, max_size=d)),
+                  fermions=draw(st.lists(labels, min_size=dh, max_size=dh)),
+                  edges=edges)
+    where = draw(st.sampled_from(["none", "listed", *fields, "label", "edge", "field"]))
+    if where != "listed":
+        fields.update((k, tuple(fields[k])) for k in ("bosons", "fermions", "edges"))
+    if where in fields:
+        fields[where] = draw(HOSTILE)
+    elif where == "label":
+        fields["bosons"] = (draw(HOSTILE),) + fields["bosons"][1:]
+    elif where in ("edge", "field") and edges:
+        k = draw(st.integers(0, len(edges) - 1))
+        bad = (draw(HOSTILE) if where == "edge" else
+               edges[k]._replace(**{draw(st.sampled_from(Edge._fields)): draw(HOSTILE)}))
+        fields["edges"] = fields["edges"][:k] + (bad,) + fields["edges"][k + 1:]
+    return fields
+
+
+@settings(max_examples=500, **PROPERTY)
+@given(graph_fields())
+def test_construction_refuses_or_round_trips(fields):
+    try:
+        g = ValiseGraph(**fields)
+    except GraphFormatError:
+        return
+    # to_json writes the edges sorted, its canonical order.
+    assert from_json(to_json(g)) == dataclasses.replace(g, edges=tuple(sorted(g.edges)))
