@@ -38,7 +38,7 @@ def load_fixture(name: str, directory: str | Path | None = None) -> object:
     text = fixture_text(name, directory)
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise GraphFormatError(f"fixture {name} is not valid JSON: {exc}") from exc
 
 

@@ -153,9 +153,9 @@ def validate(g: ValiseGraph) -> list[str]:
         problems.append(f"n_colors must be an integer, got {type(n).__name__}")
         n = None
     elif n < 1:
-        problems.append(f"n_colors must be at least 1, got {n}")
+        problems.append(f"n_colors must be at least 1, got {_num(n)}")
     elif n > MAX_COLORS:
-        problems.append(f"n_colors {n} is above the limit "
+        problems.append(f"n_colors {_num(n)} is above the limit "
                         f"MAX_COLORS = {MAX_COLORS}")
     if not isinstance(g.edges, tuple):
         problems.append(f"edges must be a tuple of Edge, got {type(g.edges).__name__}")
@@ -172,15 +172,17 @@ def validate(g: ValiseGraph) -> list[str]:
             continue
         typed.append((pos, e))
         if d is not None and not 1 <= e.boson <= d:
-            problems.append(f"edge {pos}: boson index {e.boson} out of range 1..{d}")
+            problems.append(
+                f"edge {pos}: boson index {_num(e.boson)} out of range 1..{d}"
+            )
         if dh is not None and not 1 <= e.fermion <= dh:
             problems.append(
-                f"edge {pos}: fermion index {e.fermion} out of range 1..{dh}"
+                f"edge {pos}: fermion index {_num(e.fermion)} out of range 1..{dh}"
             )
         if n is not None and not 1 <= e.color <= n:
-            problems.append(f"edge {pos}: color {e.color} out of range 1..{n}")
+            problems.append(f"edge {pos}: color {_num(e.color)} out of range 1..{n}")
         if e.sign not in (-1, 1):
-            problems.append(f"edge {pos}: sign must be -1 or +1, got {e.sign}")
+            problems.append(f"edge {pos}: sign must be -1 or +1, got {_num(e.sign)}")
 
     seen_triple: dict[tuple[int, int, int], int] = {}
     seen_slot: dict[tuple[str, int, int], int] = {}
@@ -188,16 +190,16 @@ def validate(g: ValiseGraph) -> list[str]:
         triple = (e.boson, e.fermion, e.color)
         if triple in seen_triple:
             problems.append(
-                f"edges {seen_triple[triple]} and {pos}: duplicate edge "
-                f"(boson {e.boson}, fermion {e.fermion}, color {e.color})"
+                f"edges {seen_triple[triple]} and {pos}: duplicate edge (boson "
+                f"{_num(e.boson)}, fermion {_num(e.fermion)}, color {_num(e.color)})"
             )
             continue  # a duplicate would double-report the matching slots
         seen_triple[triple] = pos
         for slot in (("boson", e.boson, e.color), ("fermion", e.fermion, e.color)):
             if slot in seen_slot:
                 problems.append(
-                    f"edges {seen_slot[slot]} and {pos}: {slot[0]} {slot[1]} "
-                    f"has two edges of color {slot[2]}"
+                    f"edges {seen_slot[slot]} and {pos}: {slot[0]} {_num(slot[1])} "
+                    f"has two edges of color {_num(slot[2])}"
                 )
             else:
                 seen_slot[slot] = pos
@@ -414,6 +416,14 @@ def _require(cond: bool, msg: str) -> None:
         raise GraphFormatError(msg)
 
 
+def _num(v: int) -> str:
+    # Python refuses to print an int of more than 4,300 digits.
+    try:
+        return str(v)
+    except ValueError:
+        return f"a {'negative ' * (v < 0)}{v.bit_length()}-bit integer"
+
+
 def from_json(text: str) -> ValiseGraph:
     """Parse the JSON wire format, rejecting malformed input loudly.
 
@@ -423,7 +433,7 @@ def from_json(text: str) -> ValiseGraph:
     """
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise GraphFormatError(f"not valid JSON: {exc}") from exc
     _require(isinstance(obj, dict), "top level must be a JSON object")
     extra = sorted(set(obj) - set(_TOP_KEYS))

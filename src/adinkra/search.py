@@ -27,18 +27,18 @@ keep trying every relabeling as an oracle.  A class is one orbit of
 S_d x S_N, and it is built once, as its least leaf, by orderly
 generation (R. C. Read, 1978; B. D. McKay, 1998): a prefix is extended
 only if it is the least member of its own class.  The same branch and
-bound counts |Aut|, and the class has d! N! / |Aut| leaves.
+bound counts |Aut|, and the class has d! N! / |Aut| leaves.  With
+dedupe off the same loop lists every leaf, with no least-member test.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 from . import graph as gm
-from .dashings import DashingAssignment, resolve_budget, search_dashings
+from .dashings import resolve_budget, search_dashings
 from .errors import BudgetError
 from .graph import Edge, ValiseGraph
 
@@ -82,20 +82,25 @@ class SearchSpec:
 @dataclass(frozen=True)
 class TopologyClass:
     topology: Topology
-    canonical_key: Topology
     graph: ValiseGraph  # witness dashing applied
-    witness: DashingAssignment
     connected: bool
     multiplicity: int  # raw candidates mapping to this class
     first_index: int  # position in raw enumeration order
+
+    @property
+    def canonical_key(self) -> Topology:
+        return canonical_form(self.topology)
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
     spec: SearchSpec
     solutions: tuple[TopologyClass, ...]
-    raw_size: int
     pruned: tuple[tuple[str, int], ...]  # (reason, raw candidate count)
+
+    @property
+    def raw_size(self) -> int:
+        return self.spec.raw_size
 
     def connected_solutions(self) -> tuple[TopologyClass, ...]:
         return tuple(s for s in self.solutions if s.connected)
@@ -303,71 +308,33 @@ def _least(
     return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(n - 1)), ties
 
 
-def _orbit(topology: Topology) -> set[Topology]:
-    """Every tuple with color 1 the identity that boson/fermion
-    relabeling and color permutation reach from topology, whose color 1
-    must be the identity.
-
-    Breadth-first search over generators that keep color 1 the
-    identity: conjugation of every color by an adjacent boson
-    transposition a (relabeling bosons and fermions by a alike), the
-    swap of colors 1 and 2 followed by relabeling fermions by r_2^-1,
-    which gives (id, r_2^-1, r_2^-1 . r_3, ...), and the swap of colors
-    c and c+1 for c >= 2.  They generate S_d x S_N, so the result is the
-    whole class, and canonical_form is constant on it.
-    """
-    d, n = len(topology[0]), len(topology)
-    swaps = []
-    for i in range(d - 1):
-        a = list(range(d))
-        a[i], a[i + 1] = i + 1, i
-        swaps.append(a)
-
-    def neighbors(t: Topology):
-        for a in swaps:
-            # a . r . a^-1, as a is its own inverse
-            yield tuple(tuple(a[r[y]] for y in a) for r in t)
-        if n > 1:
-            inv = _inverse(t[1])
-            yield (t[0], inv, *(_compose(inv, r) for r in t[2:]))
-        for c in range(2, n):
-            yield t[:c - 1] + (t[c], t[c - 1]) + t[c + 1:]
-
-    seen = {topology}
-    queue = [topology]
-    for t in queue:
-        for u in neighbors(t):
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
-
-
 _SUPPORT_REASON = "relative permutation not a fixed-point-free involution"
 
 
 def _scan(
     spec: SearchSpec, prune: bool
-) -> tuple[list[tuple[int, int, Topology, Topology]], dict[str, int]]:
-    """The least leaf of every class of candidates that pass the support
-    rule, sigma_1 = identity, by orderly generation.
+) -> tuple[list[tuple[int, int, Topology]], dict[str, int]]:
+    """Every candidate that passes the support rule, sigma_1 = identity,
+    or with dedupe on only the least leaf of each class.
 
-    Colors 2..N are drawn in nondecreasing order from the
-    fixed-point-free involutions of range(d), or from every permutation
-    when prune is off.  A choice p is kept if q . p is also one for every
-    earlier color q after the first (as q is an involution, q . p is p
-    relative to q), and a prefix with children is extended only if
-    _least finds it the least of its class: a smaller member of its class
-    extends to a smaller member of every leaf above it.  With pruning on,
-    color 2 is the first fixed-point-free involution, all being conjugate.
+    Colors 2..N are drawn from the fixed-point-free involutions of
+    range(d), or from every permutation when prune is off, and a choice p
+    is kept if q . p is also one for every earlier color q after the
+    first (as q is an involution, q . p is p relative to q).  With dedupe
+    on this is orderly generation: choices are nondecreasing, color 2 is
+    the first involution when pruning (all being conjugate), and a prefix
+    is extended only if _least finds it the least of its class, as a
+    smaller member of its class extends to a smaller member of every
+    leaf above it.  With dedupe off, _least is never called.
 
-    Returns [(first_index, multiplicity, topology, class_key)] in order
-    of first index, and pruned counts.  Candidate indices are mixed-radix
+    Returns [(first_index, multiplicity, topology)] in order of first
+    index, and pruned counts.  Candidate indices are mixed-radix
     positions in the full (d!)^(N-1) space, each digit the lexicographic
-    rank of a permutation, and a class of d! N! / |Aut| leaves is first
-    reached at its least leaf.  Every raw candidate is either a leaf or
-    pruned at one level, so raw_size minus the leaves is the pruned
-    count.  With dedupe off, _orbit expands each class into its leaves.
+    rank of a permutation, so the depth-first walk meets them in order.
+    A class of d! N! / |Aut| leaves is first reached at its least leaf;
+    with dedupe off each leaf counts once.  Every raw candidate is either
+    a leaf or pruned at one level, so raw_size minus the leaves is the
+    pruned count.
     """
     n_perms = math.factorial(spec.d)
     # With one color there is nothing to choose, however large d! is.
@@ -375,33 +342,27 @@ def _scan(
     rank = {p: t for t, p in enumerate(perms) if not prune or is_fpf_involution(p)}
     choices = list(rank)
     group = n_perms * math.factorial(spec.n_colors)
-    classes: list[tuple[int, int, Topology, Topology]] = []
+    records: list[tuple[int, int, Topology]] = []
 
-    def index(topo: Topology) -> int:
-        return functools.reduce(lambda i, p: i * n_perms + rank[p], topo[1:], 0)
-
-    def rec(topo: Topology, start: int) -> None:
+    def rec(topo: Topology, index: int, start: int) -> None:
         if len(topo) == spec.n_colors:
-            least = _least(topo, stop=True)
-            if least is not None:
-                classes.append((index(topo), group // least[1], topo, least[0]))
+            if not spec.dedupe:
+                records.append((index, 1, topo))
+            elif (least := _least(topo, stop=True)) is not None:
+                records.append((index, group // least[1], topo))
             return
-        end = 1 if prune and len(topo) == 1 else None
+        end = 1 if prune and spec.dedupe and len(topo) == 1 else None
         kids = [
             (k, p) for k, p in enumerate(choices[start:end], start)
             if not prune or all(is_fpf_involution(_compose(q, p)) for q in topo[1:])
         ]
-        if kids and _least(topo, stop=True) is not None:
+        if kids and (not spec.dedupe or _least(topo, stop=True) is not None):
             for k, p in kids:
-                rec(topo + (p,), k)
+                rec(topo + (p,), index * n_perms + rank[p], k if spec.dedupe else 0)
 
-    rec((tuple(range(spec.d)),), 0)
-    leaves = sum(mult for _, mult, _, _ in classes)
-    if not spec.dedupe:
-        classes = sorted(
-            (index(t), 1, t, key) for _, _, rep, key in classes for t in _orbit(rep)
-        )
-    return classes, {_SUPPORT_REASON: spec.raw_size - leaves}
+    rec((tuple(range(spec.d)),), 0, 0)
+    leaves = sum(mult for _, mult, _ in records)
+    return records, {_SUPPORT_REASON: spec.raw_size - leaves}
 
 
 def run_search(
@@ -411,8 +372,9 @@ def run_search(
 ) -> SearchOutcome:
     """Full pipeline: enumerate, dedupe, dashing-search each class.
 
-    Every returned solution carries a witness dashing and has been
-    re-verified by the exact garden check inside search_dashings.
+    Each solution's graph is its topology with a witness dashing
+    applied, re-verified by the exact garden check inside
+    search_dashings; the graph is the only record of the signs.
     Classes are reported in order of their first raw candidate.
     """
     budget = resolve_budget(budget, TOPOLOGY_BUDGET)
@@ -422,7 +384,7 @@ def run_search(
     pruned_counts = {reason: count for reason, count in pruned.items() if count}
 
     solutions = []
-    for first, mult, topo, key in classes:
+    for first, mult, topo in classes:
         g = topology_graph(topo, name=f"search-d{spec.d}-n{spec.n_colors}-{first}")
         result = search_dashings(g, exhaustive=False, budget=budget)
         if result.feasible:
@@ -430,9 +392,7 @@ def run_search(
             solutions.append(
                 TopologyClass(
                     topology=topo,
-                    canonical_key=key,
                     graph=dashed,
-                    witness=result.witness,
                     connected=gm.is_connected(dashed),
                     multiplicity=mult,
                     first_index=first,
@@ -444,6 +404,5 @@ def run_search(
     return SearchOutcome(
         spec=spec,
         solutions=tuple(solutions),
-        raw_size=spec.raw_size,
         pruned=tuple(sorted(pruned_counts.items())),
     )

@@ -15,6 +15,7 @@ from adinkra.garden import GardenReport, Pair, Violation, color_pairs
 from adinkra.graph import _check_shapes
 from adinkra.isomorphism import Isomorphism
 from adinkra.search import (
+    Topology,
     _SUPPORT_REASON,
     _compose,
     _inverse,
@@ -233,6 +234,46 @@ def brute_topology_orbit(topology: tuple[tuple[int, ...], ...]) -> set:
             alpha_inv = _inverse(alpha)
             orbit.add(tuple(_compose(alpha, _compose(t, alpha_inv)) for t in rel))
     return orbit
+
+
+def _orbit(topology: Topology) -> set[Topology]:
+    """Every tuple with color 1 the identity that boson/fermion
+    relabeling and color permutation reach from topology, whose color 1
+    must be the identity.
+
+    Breadth-first search over generators that keep color 1 the
+    identity: conjugation of every color by an adjacent boson
+    transposition a (relabeling bosons and fermions by a alike), the
+    swap of colors 1 and 2 followed by relabeling fermions by r_2^-1,
+    which gives (id, r_2^-1, r_2^-1 . r_3, ...), and the swap of colors
+    c and c+1 for c >= 2.  They generate S_d x S_N, so the result is the
+    whole class, and canonical_form is constant on it.
+    """
+    d, n = len(topology[0]), len(topology)
+    swaps = []
+    for i in range(d - 1):
+        a = list(range(d))
+        a[i], a[i + 1] = i + 1, i
+        swaps.append(a)
+
+    def neighbors(t: Topology):
+        for a in swaps:
+            # a . r . a^-1, as a is its own inverse
+            yield tuple(tuple(a[r[y]] for y in a) for r in t)
+        if n > 1:
+            inv = _inverse(t[1])
+            yield (t[0], inv, *(_compose(inv, r) for r in t[2:]))
+        for c in range(2, n):
+            yield t[:c - 1] + (t[c], t[c - 1]) + t[c + 1:]
+
+    seen = {topology}
+    queue = [topology]
+    for t in queue:
+        for u in neighbors(t):
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return seen
 
 
 def _relative(p, q):

@@ -447,6 +447,17 @@ PINNED = [
     ("matrices builtin:hypercube-4", 0, "91dc38f4f19b1eeff31ba2a2caf66028db2060c751d3808a5cb7f48d37e29b3d"),
     ("matrices builtin:hypercube-4 --json", 0, "e2e4d631f833570fd7de54e4f672e08799671feb42ec12444a560ee318363903"),
     ("dashings builtin:tesseract --exhaustive --json", 0, "7d753e60ad67833b28a7cf16b45181dfdcd79ca818225b5a7242763e9b71776c"),
+    ("search -d 2 -n 2", 0, "115e8df4b74ed1da8a004ccbe85df1f77a98ddc5cd18d479d1be8786e8d95646"),
+    ("search -d 4 -n 3", 0, "4b3b779fe8a8aff1fc2c40981c8114a83de4985b406bcc4d0833c3bac1de2710"),
+    ("search -d 4 -n 3 --json", 0, "9fb81306af2ffbdb6a34a06d2240a7a20c2bbb25b3ab8ce84c8302f7151f2651"),
+    ("search -d 4 -n 4 --no-dedupe", 0, "60d9f0aee2ce6a3fd9231acfff6b61b674356d598bdc179053049f1ab95cbda2"),
+    ("search -d 4 -n 4 --no-dedupe --json --allow-disconnected", 0, "cddb222bc858016f2bbe657245b51ed0833f4e766e607655d516bbe7e6248a0e"),
+    ("search -d 4 -n 3 --no-prune --allow-disconnected", 0, "32df49e7482775da75537223c264b1282d8b7d5bb2236b191eb4d8b6b69ef59e"),
+    ("search -d 4 -n 3 --no-prune --no-dedupe --allow-disconnected --json", 0, "b92789b95e379e11dbc0e61677d3cbe29260bebf572f15abc7039078872ce743"),
+    ("search -d 6 -n 2 --allow-disconnected --json", 0, "004a5756f8f78f53b418217c7d0df9c88be7aa4637ed34ae55a1aa26666ef66d"),
+    ("search -d 6 -n 2 --no-dedupe --allow-disconnected", 0, "7d4158f149b926bfacbffeb514f41293dbf8275ba0f0bebd09df0db23038d474"),
+    ("search -d 8 -n 3 --budget 10000000000 --allow-disconnected --json", 0, "e5fcaec3d9270abf4f8aebbaf2e7afe77b5d7cb0811f08b2f692ba7348a3a9e1"),
+    ("search -d 4 -n 5 --no-dedupe --allow-disconnected --json", 1, "ddae3f1ed0933f4991ffac086d4181a92b8ba552fb7e2dcaa607859045d02e45"),
 ]
 
 

@@ -22,6 +22,7 @@ from adinkra import (
     to_matrices,
     validate,
 )
+from adinkra.fixtures import load_fixture
 from adinkra.graph import MAX_COLORS, MAX_ROW_LENGTH, spanning_forest
 from conftest import disjoint_union, random_valise_graph
 
@@ -120,6 +121,41 @@ def test_construction_refuses_wrongly_typed_fields(fields, message):
     with pytest.raises(GraphFormatError) as exc:
         ValiseGraph(**{**base, **fields})
     assert str(exc.value) == message
+
+
+def test_integers_beyond_the_string_limit_are_format_errors(tmp_path):
+    # Python refuses to convert an int of more than 4,300 digits to or
+    # from decimal text; the refusal is still a GraphFormatError, and
+    # validate names the field and the integer's bit length.
+    huge = 10**5000
+    size = f"a {huge.bit_length()}-bit integer"
+    base = dict(name="t", n_colors=1, bosons=("a",), fermions=("x",),
+                edges=(Edge(1, 1, 1, 1),))
+    for fields, message in (
+        (dict(edges=(Edge(huge, 1, 1, 1),)),
+         f"edge 1: boson index {size} out of range 1..1"),
+        (dict(edges=(Edge(1, 1, 1, -huge),)),
+         f"edge 1: sign must be -1 or +1, got a negative {huge.bit_length()}"
+         "-bit integer"),
+        (dict(n_colors=huge), f"n_colors {size} is above the limit "
+                              f"MAX_COLORS = {MAX_COLORS}"),
+        (dict(edges=(Edge(1, huge, huge, 1),) * 2),
+         f"edge 1: fermion index {size} out of range 1..1; "
+         f"edge 1: color {size} out of range 1..1; "
+         f"edge 2: fermion index {size} out of range 1..1; "
+         f"edge 2: color {size} out of range 1..1; "
+         f"edges 1 and 2: duplicate edge (boson 1, fermion {size}, color {size})"),
+    ):
+        with pytest.raises(GraphFormatError) as exc:
+            ValiseGraph(**{**base, **fields})
+        assert str(exc.value) == message
+    text = to_json(diamond()).replace('"b": 1,', '"b": 1' + "0" * 5000 + ",", 1)
+    with pytest.raises(GraphFormatError, match="^not valid JSON: .*digits"):
+        from_json(text)
+    (tmp_path / "big.json").write_text("1" + "0" * 5000)
+    with pytest.raises(GraphFormatError,
+                       match="^fixture big.json is not valid JSON: .*digits"):
+        load_fixture("big.json", tmp_path)
 
 
 def test_to_matrices_matches_edge_signs():

@@ -7,6 +7,8 @@ drawn by hypothesis (skipped when hypothesis is not installed).
 - the topology orbit walk against every color order and relabeling;
 - canonical_form, the least-member test and |Aut| against every color
   order and relabeling;
+- the topology scan with dedupe on against its own dedupe-off leaves
+  grouped by canonical form;
 - construction from arbitrary field values against the JSON round trip:
   a graph that builds serializes to JSON that reads back as itself.
 """
@@ -23,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from adinkra import (
     Edge,
     GraphFormatError,
+    SearchSpec,
     ValiseGraph,
     colors,
     from_json,
@@ -33,8 +36,9 @@ from adinkra import (
     to_json,
 )
 from adinkra.isomorphism import Isomorphism, _gauge_compatible
-from adinkra.search import _least, _orbit, canonical_form
+from adinkra.search import _least, _scan, canonical_form
 from conftest import (
+    _orbit,
     brute_canonical_form,
     brute_gauge_compatible,
     brute_topology_orbit,
@@ -162,6 +166,26 @@ def test_least_member_and_stabilizer_equal_brute_force(topology):
     key, aut = _least(least, stop=True)
     assert (least[0], *key) == least
     assert len(orbit) * aut == math.factorial(d) * math.factorial(n)
+
+
+def test_dedupe_on_records_group_the_dedupe_off_leaves():
+    # The two modes of _scan against each other: the dedupe-off leaves,
+    # grouped by canonical form, are the dedupe-on classes, each with its
+    # least index as first_index, its size as multiplicity and its least
+    # leaf as representative, in order of first index.
+    specs = [(d, n, True) for d in range(1, 7) for n in range(1, 5)]
+    for d, n, prune in specs + [(4, 5, True), (8, 2, True), (8, 3, True),
+                                (4, 3, False)]:
+        every, every_pruned = _scan(SearchSpec(d, n, dedupe=False), prune)
+        groups = {}
+        for index, mult, topo in every:
+            assert mult == 1, (d, n, prune)
+            groups.setdefault(canonical_form(topo), []).append((index, topo))
+        want = sorted(
+            (min(i for i, _ in g), len(g), min(t for _, t in g))
+            for g in groups.values()
+        )
+        assert _scan(SearchSpec(d, n), prune) == (want, every_pruned), (d, n, prune)
 
 
 # Every type a caller or a JSON file might hand over for a field.

@@ -24,8 +24,8 @@ from adinkra import (
     topology_of,
 )
 from adinkra import search
-from adinkra.search import _SUPPORT_REASON, _compose, _orbit, _scan
-from conftest import brute_canonical_form, disjoint_union, filtered_scan
+from adinkra.search import _SUPPORT_REASON, _compose, _scan
+from conftest import _orbit, brute_canonical_form, disjoint_union, filtered_scan
 
 
 def _leaves(spec: SearchSpec, prune: bool = True) -> list:
@@ -40,8 +40,8 @@ def _records(spec: SearchSpec, prune: bool) -> tuple[list, dict]:
     dedupe off, topology: (first_index, multiplicity, topology)}."""
     classes, pruned = _scan(spec, prune)
     return [
-        (key if spec.dedupe else topo, (first, mult, topo))
-        for first, mult, topo, key in classes
+        (canonical_form(topo) if spec.dedupe else topo, (first, mult, topo))
+        for first, mult, topo in classes
     ], pruned
 
 
@@ -130,8 +130,8 @@ def test_class_multiplicity_is_its_orbit():
               (8, 5, True), (4, 4, False)]
     for d, n, prune in specs:
         classes, _ = _scan(SearchSpec(d, n), prune)
-        for _, mult, rep, key in classes:
-            assert rep == (tuple(range(d)), *key), (d, n, prune)
+        for _, mult, rep in classes:
+            assert rep == (tuple(range(d)), *canonical_form(rep)), (d, n, prune)
             assert mult == len(_orbit(rep)), (d, n, prune, rep)
         if not prune:
             assert len(classes) == 69
@@ -164,38 +164,35 @@ def test_orbits_partition_leaves_into_classes():
 
 
 def test_scan_builds_one_least_leaf_per_class(monkeypatch):
-    real_least, real_orbit = search._least, search._orbit
-    passed, orbits = [], []
+    real_least = search._least
+    calls, passed = [], []
 
     def least(topology, stop=False):
+        calls.append(topology)
         found = real_least(topology, stop)
         if found is not None:
             passed.append(topology)
         return found
 
-    def orbit(topology):
-        orbits.append(topology)
-        return real_orbit(topology)
-
     monkeypatch.setattr(search, "_least", least)
-    monkeypatch.setattr(search, "_orbit", orbit)
     for spec, prune, n_classes in (
         (SearchSpec(4, 3), False, 15),
         (SearchSpec(4, 3), True, 1),
-        (SearchSpec(4, 3, dedupe=False), False, 15),
-        (SearchSpec(4, 4, dedupe=False), True, 1),
+        (SearchSpec(4, 4), True, 1),
     ):
         passed.clear()
-        orbits.clear()
         classes, _ = _scan(spec, prune)
         # The last-level test passes once per class, on its least leaf.
         leaves = [t for t in passed if len(t) == spec.n_colors]
         assert len(leaves) == n_classes, (spec, prune)
+        assert [t for _, _, t in classes] == leaves, (spec, prune)
         assert all(t == (t[0], *canonical_form(t)) for t in leaves)
-        # Only dedupe off walks orbits, once per class.
-        assert orbits == ([] if spec.dedupe else leaves), (spec, prune)
-        assert len(classes) == (n_classes if spec.dedupe else
-                                sum(len(_orbit(t)) for t in leaves))
+        # Dedupe off walks the same tree with no least-member test and
+        # lists every leaf of every class.
+        calls.clear()
+        every, _ = _scan(dataclasses.replace(spec, dedupe=False), prune)
+        assert calls == [], (spec, prune)
+        assert len(every) == sum(len(_orbit(t)) for t in leaves), (spec, prune)
 
 
 def test_orbit_sizes():
@@ -211,7 +208,7 @@ def test_orbit_sizes():
             for p in invs}
     n_leaves = sum(len(fits[p] & fits[q]) for p in invs for q in fits[p])
     classes, _ = _scan(SearchSpec(8, 4), prune=True)
-    orbits = [_orbit(rep) for _, _, rep, _ in classes]
+    orbits = [_orbit(rep) for _, _, rep in classes]
     assert sorted(map(len, orbits)) == [1260, 5040]
     assert len(set().union(*orbits)) == n_leaves == 6300
     for _, p, q, r in set().union(*orbits):
