@@ -6,16 +6,18 @@ from adinkra import (
     format_matrix,
     garden_check,
     product_tables,
-    to_matrices,
 )
+from adinkra.garden import color_tables
 
-# Dense matrices are built only to be printed; the checks below read
-# each color from the graph as a signed partial permutation.
+# Each color is held as a signed partial permutation read from the
+# graph; a Table keeps only its stored cells and prints every other
+# cell as 0.
 g = builtin("diamond")
 print(f"{g.name}: L matrices (rows = bosons, columns = fermions)")
-for i, m in enumerate(to_matrices(g), start=1):
-    print(f"L{i}")
-    print(format_matrix(m, indent="  "))
+left, _ = color_tables(colors(g))
+for table in left:
+    print(table.label)
+    print(format_matrix(table, indent="  "))
 
 # The garden relations demand L_I R_J + L_J R_I = 2 delta_IJ and the
 # transposed family likewise; the report lists every nonzero residual
@@ -32,6 +34,6 @@ print(
 )
 
 left, right = product_tables(colors(rd))
-label, product = left[0]
-print(f"first left product {label}:")
-print(format_matrix(product, indent="  "))
+print(f"first left product {left[0].label}:")
+print(format_matrix(left[0], indent="  "))
+print(f"as lists: {left[0].rows()[:2]} ...")

@@ -40,8 +40,27 @@ def _write(dest: str, text: str) -> None:
             fh.write(text)
 
 
+def _dumps(obj: object, pad: str = "\n") -> str:
+    """json.dumps(obj, indent=2) byte for byte, for dicts with str keys; json
+    itself encodes in pure Python whenever indent is set."""
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if type(obj) is str:
+        return json.encoder.encode_basestring_ascii(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        quote = json.encoder.encode_basestring_ascii
+        items = [f"{quote(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if set(map(type, obj)) == {int}:  # a row of a table: one str.join
+        return "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]"
+    return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in obj]) + pad + "]"
+
+
 def _emit_json(obj: object, dest: str) -> None:
-    _write(dest, json.dumps(obj, indent=2) + "\n")
+    _write(dest, _dumps(obj) + "\n")
 
 
 def _graph_header(g: gm.ValiseGraph) -> str:
@@ -113,26 +132,22 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_matrices(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    mats = gm.to_matrices(g)
+    left, right = garden.color_tables(gm.colors(g))
     if args.json is not None:
         _emit_json(
             {
                 "name": g.name,
                 "d": g.d,
                 "d_hat": g.d_hat,
-                "L": [m.tolist() for m in mats],
-                "R": [m.T.tolist() for m in mats],
+                "L": [t.rows() for t in left],
+                "R": [t.rows() for t in right],
             },
             args.json,
         )
         return 0
     print(_graph_header(g))
-    for c, m in enumerate(mats, start=1):
-        print(f"L{c}")
-        print(garden.format_matrix(m, indent="  "))
-    for c, m in enumerate(mats, start=1):
-        print(f"R{c}")
-        print(garden.format_matrix(m.T, indent="  "))
+    for t in left + right:
+        print(f"{t.label}\n{garden.format_matrix(t, indent='  ')}")
     return 0
 
 
@@ -146,20 +161,15 @@ def cmd_garden(args: argparse.Namespace) -> int:
     left, right = garden.product_tables(ls)
     if args.json is not None:
         obj = report.to_json_obj()
-        obj["left_products"] = [
-            {"label": lab, "matrix": m.tolist()} for lab, m in left
-        ]
-        obj["right_products"] = [
-            {"label": lab, "matrix": m.tolist()} for lab, m in right
-        ]
+        obj["left_products"] = [{"label": t.label, "matrix": t.rows()} for t in left]
+        obj["right_products"] = [{"label": t.label, "matrix": t.rows()} for t in right]
         _emit_json(obj, args.json)
         return 0 if report.ok else 1
     print(_graph_header(g))
     for side, products in (("left", left), ("right", right)):
         print(f"{side} products:")
-        for lab, m in products:
-            print(f"{lab}")
-            print(garden.format_matrix(m, indent="  "))
+        for t in products:
+            print(f"{t.label}\n{garden.format_matrix(t, indent='  ')}")
     print(
         f"summary: left {'ok' if report.left_ok else 'FAIL'}, "
         f"right {'ok' if report.right_ok else 'FAIL'} "

@@ -19,7 +19,7 @@ import numpy as np
 from . import catalog
 from . import graph as gm
 from .errors import GraphFormatError
-from .garden import product_tables
+from .garden import Table, product_tables
 
 PRODUCT_FILES = ("rd_products.json", "ri_products.json")
 GRAPH_FILES = ("rhombic_dodecahedron.json", "rhombic_icosahedron.json")
@@ -50,7 +50,7 @@ def _diff_side(
     gname: str,
     side: str,
     fixture_entries: object,
-    computed: list[tuple[str, np.ndarray]],
+    computed: list[Table],
     diffs: list[str],
 ) -> int:
     """Compare one product family; returns the number of exact matches."""
@@ -63,32 +63,32 @@ def _diff_side(
             f"fixture has {len(fixture_entries)}"
         )
     matches = 0
-    for k, ((label, mat), entry) in enumerate(zip(computed, fixture_entries)):
+    for k, (table, entry) in enumerate(zip(computed, fixture_entries)):
         ok = True
         if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
             diffs.append(f"{gname} {side} entry {k + 1}: malformed fixture entry")
             continue
-        if entry["label"] != label:
+        if entry["label"] != table.label:
             diffs.append(
                 f"{gname} {side} entry {k + 1}: label mismatch "
-                f"(fixture {entry['label']!r}, recomputed {label!r})"
+                f"(fixture {entry['label']!r}, recomputed {table.label!r})"
             )
             ok = False
-        want, got = entry["matrix"], mat.tolist()
+        want, got = entry["matrix"], table.rows()
         # only a JSON integer matches: in Python 1.0 == True == 1
         if want != got or any(set(map(type, row)) - {int} for row in want):
             ok = False
             want = np.asarray(want, dtype=object)
-            if want.shape != mat.shape:
+            if want.shape != table.shape:
                 diffs.append(
-                    f"{gname} {side} {label}: shape mismatch "
-                    f"(fixture {want.shape}, recomputed {mat.shape})"
+                    f"{gname} {side} {table.label}: shape mismatch "
+                    f"(fixture {want.shape}, recomputed {table.shape})"
                 )
             else:
                 for (r, c), x in np.ndenumerate(want):
                     if type(x) is not int or x != got[r][c]:
                         diffs.append(
-                            f"{gname} {side} {label}: cell ({r + 1},{c + 1}) "
+                            f"{gname} {side} {table.label}: cell ({r + 1},{c + 1}) "
                             f"fixture {json.dumps(x)} recomputed {got[r][c]}"
                         )
         if ok:

@@ -11,7 +11,7 @@ that graph.colors reads from the edges, so a cell of either sum adds at
 most two +-1 terms, and both families are evaluated cell by cell,
 exactly, in O(N^2 (d + dhat)).  Every nonzero residual cell (sum minus
 target) is reported as a Violation, so a relation holds iff none is
-reported for it.
+reported for it.  product_tables keeps each sum as its stored cells.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .graph import MAX_MATRIX_CELLS, SignedPermutation, as_exact
+from .graph import MAX_MATRIX_CELLS, SignedPermutation
 
 Pair = tuple[int, int]  # 1-based color pair (I, J) with I <= J
 
@@ -124,16 +122,36 @@ def garden_check(ls: Sequence[SignedPermutation]) -> GardenReport:
     return GardenReport(len(ls), d, dh, tuple(violations))
 
 
-def product_tables(
-    ls: Sequence[SignedPermutation],
-) -> tuple[list[tuple[str, np.ndarray]], list[tuple[str, np.ndarray]]]:
+class Table(NamedTuple):
+    """A labeled matrix held by its stored cells; every other cell is 0."""
+
+    label: str
+    shape: tuple[int, int]
+    cells: dict[tuple[int, int], int]  # 0-based (row, col) -> value
+
+    def rows(self) -> list[list[int]]:
+        rows = [[0] * self.shape[1] for _ in range(self.shape[0])]
+        for (r, c), v in self.cells.items():
+            rows[r][c] = v
+        return rows
+
+
+def color_tables(ls: Sequence[SignedPermutation]) -> tuple[list[Table], list[Table]]:
+    """Each L_I, labeled "L<I>", and its transpose R_I, labeled "R<I>"."""
+    return ([Table(f"L{c}", p.shape, {(r, m): s for r, (m, s) in p.rows.items()})
+             for c, p in enumerate(ls, start=1)],
+            [Table(f"R{c}", p.shape[::-1], {(m, r): s for m, (r, s) in p.cols.items()})
+             for c, p in enumerate(ls, start=1)])
+
+
+def product_tables(ls: Sequence[SignedPermutation]) -> tuple[list[Table], list[Table]]:
     """Labeled product sums in the layout used for printed tables.
 
     Left side: for each pair (I, J) with I <= J, the matrix
     L_I R_J + L_J R_I, labeled "L<I>*R<I>" on the diagonal and
     "L<I>*R<J> + L<J>*R<I>" off it (the diagonal product is printed
     once, not doubled).  The right side swaps the roles of L and R.
-    ValueError, before anything is allocated, when the N(N+1)/2 (d^2 +
+    ValueError, before any table is built, when the N(N+1)/2 (d^2 +
     dhat^2) cells of all tables exceed MAX_MATRIX_CELLS.
     """
     d, dh = ls[0].shape
@@ -142,22 +160,19 @@ def product_tables(
     if cells > MAX_MATRIX_CELLS:
         raise ValueError(f"{pairs} x ({d}^2 + {dh}^2) = {cells} product table cells "
                          f"is above the limit MAX_MATRIX_CELLS = {MAX_MATRIX_CELLS}")
-    tables: dict[str, list[tuple[str, np.ndarray]]] = {"left": [], "right": []}
+    tables: dict[str, list[Table]] = {"left": [], "right": []}
     for side, i, j, size, cells in _pair_products(ls, doubled=False):
-        m = np.zeros((size, size), dtype=np.int64)
-        for (r, c), v in cells.items():
-            m[r, c] = v
         x, y = ("L", "R") if side == "left" else ("R", "L")
         label = f"{x}{i}*{y}{i}" if i == j else f"{x}{i}*{y}{j} + {x}{j}*{y}{i}"
-        tables[side].append((label, m))
+        tables[side].append(Table(label, (size, size), cells))
     return tables["left"], tables["right"]
 
 
-def format_matrix(matrix: object, indent: str = "") -> str:
-    """Fixed-width text rendering with aligned signed entries."""
-    a = as_exact(matrix)
-    width = max((len(str(int(x))) for x in a.flat), default=1)
-    rows = []
-    for row in a:
-        rows.append(indent + " ".join(f"{int(x):>{width}}" for x in row))
-    return "\n".join(rows)
+def format_matrix(table: Table, indent: str = "") -> str:
+    """Fixed-width text rendering with aligned signed entries: only the
+    stored cells are formatted, and they alone set the width."""
+    width = max((len(str(v)) for v in table.cells.values()), default=1)
+    rows = [[f"{0:>{width}}"] * table.shape[1] for _ in range(table.shape[0])]
+    for (r, c), v in table.cells.items():
+        rows[r][c] = f"{v:>{width}}"
+    return "\n".join(indent + " ".join(row) for row in rows)

@@ -9,8 +9,8 @@ this and every rule of validate when constructed, so no layer re-checks.
 
 Matrix convention: L_I is d x dhat with L_I[i, j] equal to the sign of
 the color-I edge between boson i+1 and fermion j+1 (0 if absent), and
-R_I is its transpose.  colors(g) holds each L_I as a SignedPermutation
-for every check; to_matrices builds dense int64 copies only for printing.
+R_I is its transpose.  Every check and printed table reads colors(g),
+each L_I as a SignedPermutation; to_matrices returns dense int64 copies.
 
 Vertices are addressed 1-based in every report and file format, matching
 the usual convention for these graphs.  Internally a vertex is the pair
@@ -231,7 +231,7 @@ def colors(g: ValiseGraph) -> list[SignedPermutation]:
 
 
 def to_matrices(g: ValiseGraph) -> list[np.ndarray]:
-    """The L matrices as read-only d x dhat int64 arrays, for printing."""
+    """The L matrices as read-only d x dhat int64 arrays."""
     mats = []
     for p in colors(g):
         m = np.zeros(p.shape, dtype=np.int64)

@@ -12,7 +12,7 @@ import numpy as np
 
 from adinkra import Edge, ValiseGraph, gauge_fix, to_matrices
 from adinkra.garden import GardenReport, Pair, Violation, color_pairs
-from adinkra.graph import _check_shapes
+from adinkra.graph import _check_shapes, as_exact
 from adinkra.isomorphism import Isomorphism
 from adinkra.search import (
     Topology,
@@ -76,6 +76,28 @@ def dense_product_tables(matrices):
             left.append((f"L{i}*R{j} + L{j}*R{i}", li @ rj + lj @ ri))
             right.append((f"R{i}*L{j} + R{j}*L{i}", ri @ lj + rj @ li))
     return left, right
+
+
+def dense_format_matrix(matrix, indent: str = "") -> str:
+    """format_matrix by formatting every cell of a dense matrix."""
+    a = as_exact(matrix)
+    width = max((len(str(int(x))) for x in a.flat), default=1)
+    rows = []
+    for row in a:
+        rows.append(indent + " ".join(f"{int(x):>{width}}" for x in row))
+    return "\n".join(rows)
+
+
+def assert_tables_equal_dense(tables, dense) -> None:
+    """Each Table against the dense oracle's (label, matrix), cell for
+    cell, with every stored cell an int inside the table's shape."""
+    assert [t.label for t in tables] == [label for label, _ in dense]
+    for t, (_, m) in zip(tables, dense):
+        n_rows, n_cols = t.shape
+        assert t.shape == m.shape, t.label
+        assert all(0 <= r < n_rows and 0 <= c < n_cols for r, c in t.cells), t.label
+        assert all(type(v) is int for v in t.cells.values()), t.label
+        assert t.rows() == m.tolist(), t.label
 
 
 def random_valise_graph(

@@ -30,14 +30,26 @@ from adinkra import (
     run_search,
     search_dashings,
     to_json,
+    to_matrices,
     vertex_flip,
 )
-from conftest import all_sign_vectors, random_valise_graph, raw_feasible_count
+from conftest import (
+    all_sign_vectors,
+    assert_tables_equal_dense,
+    dense_product_tables,
+    random_valise_graph,
+    raw_feasible_count,
+)
 
 
 def _product_table(g):
-    left, right = product_tables(colors(g))
-    return {label: m for label, m in left + right}
+    """The product tables by label as arrays, once they equal the dense
+    products cell for cell."""
+    tables = product_tables(colors(g))
+    dense = dense_product_tables(to_matrices(g))
+    for sparse, oracle in zip(tables, dense):
+        assert_tables_equal_dense(sparse, oracle)
+    return {t.label: np.array(t.rows(), dtype=np.int64) for t in tables[0] + tables[1]}
 
 
 def _fixture_table(fname):

@@ -405,9 +405,11 @@ def test_no_arguments_shows_usage(capsys):
 
 
 def test_checks_never_build_dense_matrices(capsys, monkeypatch):
-    # Only `matrices` prints dense matrices; every check reads the
-    # graph's colors directly.
+    # Every check and every printed table reads the graph's colors
+    # directly.
     argvs = (
+        ["matrices", "builtin:ri"],
+        ["matrices", "builtin:rd", "--json"],
         ["check", "builtin:ri"],
         ["check", "builtin:tesseract", "--json"],
         ["garden", "builtin:ri"],
@@ -458,6 +460,19 @@ PINNED = [
     ("search -d 6 -n 2 --no-dedupe --allow-disconnected", 0, "7d4158f149b926bfacbffeb514f41293dbf8275ba0f0bebd09df0db23038d474"),
     ("search -d 8 -n 3 --budget 10000000000 --allow-disconnected --json", 0, "e5fcaec3d9270abf4f8aebbaf2e7afe77b5d7cb0811f08b2f692ba7348a3a9e1"),
     ("search -d 4 -n 5 --no-dedupe --allow-disconnected --json", 1, "ddae3f1ed0933f4991ffac086d4181a92b8ba552fb7e2dcaa607859045d02e45"),
+    ("garden builtin:hypercube-7", 0, "6c1f5c127d664853f29473696920ad3fc3623a66579ad29264cc7556fb95bf32"),
+    ("garden builtin:hypercube-7 --json", 0, "6076586928a5880f34bd024ea721ed16d593de6dacecec6696a8f3583f1f0ad5"),
+    ("matrices builtin:hypercube-7", 0, "ed8f1e741f754020d319bb84bd7378d1ec1227b723ddd128f2f8273f2f2e68b2"),
+    ("matrices builtin:hypercube-7 --json", 0, "bceabb5da728841f6ad4332b085d22e44ee3381803d6a849c05bd1cdbdbd4b04"),
+    ("garden builtin:lifted-rd", 1, "ac5e7e20fcc29579324dcf68045d18359acc070af1f9f22ce25f7d73d6303622"),
+    ("garden builtin:lifted-rd --json", 1, "39adb86ab4a06904db1ee70d21a8a1b6082bb51f80f7564f3e548af32dffc2af"),
+    ("garden builtin:rd-from-tesseract --json", 1, "c36aa0363da7b3f0ef13b33158acf8204302346b3741bdff60390ad2756747c9"),
+    ("garden builtin:bow-tie", 1, "e00a96fa397e89b9a9211a02b96bd7bc81eb6ab035b546d5d216dcf2beeaf9fe"),
+    ("matrices builtin:bow-tie --json", 0, "c0bbd7f3e7dbcffee4c932fce1db05085c550c3ce663f5a0de73d75a37cab385"),
+    ("check builtin:lifted-rd --json", 1, "3effd5d31cd67cb100232a0fb42e60cfdc4b77bd124125678202b8f21f2cff31"),
+    ("dashings builtin:cube --json", 0, "78375bfb7798c4da8460c5f92463f879e61314648e20b46a0aab6febcfa6bf9a"),
+    ("fixtures", 0, "4dafa2417435e2ce9938c22b31c7a1c6b75eacca0aa76a7ce52d28eb331815c2"),
+    ("fixtures --json", 0, "58f132201b513665db86db15193c64b911ed00130570abdacce98c0672a93c62"),
 ]
 
 

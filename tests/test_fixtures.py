@@ -90,3 +90,24 @@ def test_non_integer_or_huge_cells_differ(tmp_path, cell, shown):
     assert diffs == [
         f"rhombic-dodecahedron left L1*R1: cell (1,1) fixture {shown} recomputed 1"
     ]
+
+
+def test_diff_lines_name_shape_and_cell_mismatches(tmp_path):
+    _copy_fixtures(tmp_path)
+    doc = json.loads((tmp_path / "rd_products.json").read_text())
+    left = doc["left"]
+    left[0]["matrix"].pop()
+    left[1]["matrix"][2].pop()
+    left[2]["matrix"][0][0] = [1]
+    doc["right"][0]["matrix"] = []
+    (tmp_path / "rd_products.json").write_text(json.dumps(doc))
+    matches, total, diffs = compare_products(directory=tmp_path)
+    assert (matches, total) == (46, 50)
+    gname = "rhombic-dodecahedron"
+    assert diffs == [
+        f"{gname} left L1*R1: shape mismatch (fixture (5, 6), recomputed (6, 6))",
+        f"{gname} left L1*R2 + L2*R1: shape mismatch "
+        "(fixture (6,), recomputed (6, 6))",
+        f"{gname} left L1*R3 + L3*R1: cell (1,1) fixture [1] recomputed 0",
+        f"{gname} right R1*L1: shape mismatch (fixture (0,), recomputed (8, 8))",
+    ]

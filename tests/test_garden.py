@@ -24,8 +24,15 @@ from adinkra import (
     rhombic_icosahedron,
     to_matrices,
 )
+from adinkra.garden import Table, color_tables
 from adinkra.graph import as_exact
-from conftest import dense_garden_check, dense_product_tables, random_valise_graph
+from conftest import (
+    assert_tables_equal_dense,
+    dense_format_matrix,
+    dense_garden_check,
+    dense_product_tables,
+    random_valise_graph,
+)
 
 
 def test_color_pairs_order():
@@ -88,15 +95,16 @@ def test_ri_fails_both_sides():
 
 def test_product_tables_labels_and_diagonal():
     left, right = product_tables(colors(rhombic_dodecahedron()))
-    assert [lab for lab, _ in left[:3]] == [
+    assert [t.label for t in left[:3]] == [
         "L1*R1",
         "L1*R2 + L2*R1",
         "L1*R3 + L3*R1",
     ]
-    assert right[0][0] == "R1*L1"
+    assert right[0].label == "R1*L1"
     assert len(left) == len(right) == 10
     # Diagonal products are printed single, so the left diagonal is I_6.
-    assert left[0][1].tolist() == np.eye(6, dtype=int).tolist()
+    assert left[0].shape == (6, 6)
+    assert left[0].rows() == np.eye(6, dtype=int).tolist()
 
 
 def test_garden_check_shape_errors():
@@ -108,9 +116,15 @@ def test_garden_check_shape_errors():
 
 
 def test_format_matrix_aligns_columns():
-    text = format_matrix([[1, -1], [0, 10]])
-    assert text.splitlines() == [" 1 -1", " 0 10"]
-    assert format_matrix([[1]], indent="  ") == "  1"
+    table = Table("m", (2, 2), {(0, 0): 1, (0, 1): -1, (1, 1): 10})
+    assert format_matrix(table).splitlines() == [" 1 -1", " 0 10"]
+    assert format_matrix(table) == dense_format_matrix([[1, -1], [0, 10]])
+    assert format_matrix(Table("m", (1, 1), {(0, 0): 1}), indent="  ") == "  1"
+    # A stored zero is formatted like any other cell; an empty matrix
+    # prints no row, and a row without columns prints the indent alone.
+    assert format_matrix(Table("m", (1, 2), {(0, 1): 0})) == "0 0"
+    assert format_matrix(Table("m", (0, 0), {})) == dense_format_matrix(np.zeros((0, 0)))
+    assert format_matrix(Table("m", (2, 0), {}), indent="  ") == "  \n  "
 
 
 def test_report_json_shape():
@@ -142,12 +156,14 @@ def test_diagonal_left_right_equivalence_for_signed_permutations():
 def _assert_matches_dense(g, tag):
     mats = to_matrices(g)
     assert garden_check(colors(g)) == dense_garden_check(mats), tag
-    for sparse, dense in zip(product_tables(colors(g)), dense_product_tables(mats)):
-        assert len(sparse) == len(dense), tag
-        for (lab, m), (dense_lab, dense_m) in zip(sparse, dense):
-            assert lab == dense_lab, tag
-            assert m.dtype == dense_m.dtype and m.shape == dense_m.shape, tag
-            assert np.array_equal(m, dense_m), (tag, lab)
+    dense_colors = ([(f"L{c}", m) for c, m in enumerate(mats, start=1)],
+                    [(f"R{c}", m.T) for c, m in enumerate(mats, start=1)])
+    for sparse, dense in (*zip(product_tables(colors(g)), dense_product_tables(mats)),
+                          *zip(color_tables(colors(g)), dense_colors)):
+        assert_tables_equal_dense(sparse, dense)
+        for t, (_, m) in zip(sparse, dense):
+            text = format_matrix(t, indent="  ")
+            assert text == dense_format_matrix(m, indent="  "), (tag, t.label)
 
 
 def test_kernel_matches_dense_on_builtins_and_hypercubes():

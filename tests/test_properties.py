@@ -2,6 +2,9 @@
 drawn by hypothesis (skipped when hypothesis is not installed).
 
 - the signed-permutation garden kernel against the dense products;
+- the garden and matrices commands, text and --json, against the dense
+  products formatted cell by cell and written by json.dumps(indent=2);
+- the command line's JSON writer against json.dumps(indent=2);
 - the gauge-fix forest: acyclic, spanning, E - V + #components free;
 - the forest-based gauge test against the 2^V vertex-flip scan;
 - the topology orbit walk against every color order and relabeling;
@@ -13,8 +16,12 @@ drawn by hypothesis (skipped when hypothesis is not installed).
   a graph that builds serializes to JSON that reads back as itself.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,13 +42,16 @@ from adinkra import (
     product_tables,
     to_json,
 )
+from adinkra import cli
 from adinkra.isomorphism import Isomorphism, _gauge_compatible
 from adinkra.search import _least, _scan, canonical_form
 from conftest import (
     _orbit,
+    assert_tables_equal_dense,
     brute_canonical_form,
     brute_gauge_compatible,
     brute_topology_orbit,
+    dense_format_matrix,
     dense_garden_check,
     dense_product_tables,
 )
@@ -73,9 +83,76 @@ def test_kernel_equals_dense_oracle(mats):
     ls = colors(from_matrices("drawn", mats))
     assert garden_check(ls) == dense_garden_check(mats)
     for sparse, dense in zip(product_tables(ls), dense_product_tables(mats)):
-        assert [lab for lab, _ in sparse] == [lab for lab, _ in dense]
-        for (_, m), (_, dense_m) in zip(sparse, dense):
-            assert m.shape == dense_m.shape and np.array_equal(m, dense_m)
+        assert_tables_equal_dense(sparse, dense)
+
+
+def _cli(argv, text):
+    """Exit code and stdout of the command line, text on stdin."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _dense_text(header, sections):
+    """Printed tables formatted from dense matrices cell by cell."""
+    lines = [header]
+    for title, tables in sections:
+        lines += [title] if title else []
+        for label, m in tables:
+            lines += [label, dense_format_matrix(m, indent="  ")]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, **PROPERTY)
+@given(signed_partial_permutations())
+def test_printed_tables_equal_dense_oracle(mats):
+    g = from_matrices("drawn", mats)
+    text, header = to_json(g), cli._graph_header(g)
+    report = garden_check(colors(g))
+    left, right = dense_product_tables(mats)
+    code, out = _cli(["garden", "-"], text)
+    assert code == (0 if report.ok else 1)
+    want = _dense_text(header, [("left products:", left), ("right products:", right)])
+    assert out.startswith(want) and out[len(want):].startswith("summary: ")
+    obj = report.to_json_obj()
+    obj["left_products"] = [{"label": lab, "matrix": m.tolist()} for lab, m in left]
+    obj["right_products"] = [{"label": lab, "matrix": m.tolist()} for lab, m in right]
+    assert _cli(["garden", "-", "--json"], text) == (code, json.dumps(obj, indent=2) + "\n")
+    ls = [(f"L{c}", m) for c, m in enumerate(mats, start=1)]
+    rs = [(f"R{c}", m.T) for c, m in enumerate(mats, start=1)]
+    assert _cli(["matrices", "-"], text) == (0, _dense_text(header, [(None, ls + rs)]))
+    obj = {"name": g.name, "d": g.d, "d_hat": g.d_hat,
+           "L": [m.tolist() for _, m in ls], "R": [m.tolist() for _, m in rs]}
+    assert _cli(["matrices", "-", "--json"], text) == (0, json.dumps(obj, indent=2) + "\n")
+
+
+JSON_LEAVES = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**80).flatmap(lambda n: st.sampled_from((n, -n))),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from((math.nan, math.inf, -math.inf, -0.0)),
+    st.text(),
+    st.sampled_from(('"', "\\", "\n\t\x00\x7f", "caf\u00e9 \u2603 \U0001f600", "\ud800")),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(st.text(), kids),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, **PROPERTY)
+@given(JSON_VALUES)
+def test_json_writer_equals_json_dumps(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
 
 
 @settings(max_examples=200, **PROPERTY)
