@@ -167,7 +167,7 @@ def hypercube(n: int) -> ValiseGraph:
     below the toggled position), which is the same for both endpoints.
     This standard dashing satisfies the garden algebra for every n.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"hypercube dimension must be an integer >= 1, got {n}")
     if n > MAX_HYPERCUBE_DIMENSION:
         raise ValueError(

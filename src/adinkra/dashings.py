@@ -11,19 +11,22 @@ raw 2^E space down to 2^free with free = E - V + #components.
 On a graph passing the candidacy filters, a dashing satisfies the
 garden relations iff every bi-color 4-cycle carries an odd number of
 dashed edges (sign product -1 around the quad, which is what makes the
-off-diagonal products cancel).  Over the free edges that is a linear
-system over GF(2).  Elimination to reduced echelon form decides it:
-an inconsistent system means the topology is infeasible outright;
-otherwise the smallest solution is the witness, and the solutions,
-one per gauge orbit, are that witness plus the 2^nullity members of
-the nullspace.  Every solution returned or
-counted is still confirmed with the exact garden check; the test suite
-compares the whole path against a brute-force scan of all 2^free
-gauge-fixed vectors.
+off-diagonal products cancel).  The search reads its verdict and its
+quads from one candidacy report, so the bi-color decomposition is
+walked once.  Over the free edges the quads give a linear system over
+GF(2).  Elimination to reduced echelon form decides it: an
+inconsistent system means the topology is infeasible outright;
+otherwise the smallest solution is the witness, and the solutions, one
+per gauge orbit, are that witness plus the 2^nullity members of the
+nullspace.  Every solution returned or counted is still confirmed with
+the exact garden check, and the witness is the dashed graph that
+passed it; the test suite compares the whole path against a
+brute-force scan of all 2^free gauge-fixed vectors.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -52,17 +55,9 @@ def resolve_budget(explicit: int | None = None,
 
 
 @dataclass(frozen=True)
-class DashingAssignment:
-    """Signs per edge index of the owning graph, in edge order."""
-
-    signs: tuple[int, ...]
-    gauge_fixed: bool = False
-
-
-@dataclass(frozen=True)
 class DashingSearchResult:
     feasible: bool
-    witness: DashingAssignment | None
+    witness: ValiseGraph | None  # the dashed graph the garden check confirmed
     count_gauge_orbits: int
     count_total: int | None
     pruned_reason: str | None
@@ -72,17 +67,13 @@ class DashingSearchResult:
     def to_json_obj(self) -> dict:
         return {
             "feasible": self.feasible,
-            "witness": list(self.witness.signs) if self.witness else None,
+            "witness": list(self.witness.signs) if self.witness is not None else None,
             "count_gauge_orbits": self.count_gauge_orbits,
             "count_total": self.count_total,
             "pruned_reason": self.pruned_reason,
             "free_edge_count": self.free_edge_count,
             "exhaustive": self.exhaustive,
         }
-
-
-def apply_dashing(g: ValiseGraph, a: DashingAssignment) -> ValiseGraph:
-    return g.with_signs(a.signs)
 
 
 def vertex_flip(g: ValiseGraph, node: Node) -> ValiseGraph:
@@ -106,26 +97,13 @@ def gauge_fix(g: ValiseGraph) -> tuple[int, ...]:
     return tuple(sorted(idx for idx, _, _ in gm.spanning_forest(g)))
 
 
-def odd_quad_check(
-    g: ValiseGraph, a: DashingAssignment | None = None
-) -> tuple[bool, list[tuple[int, ...]]]:
-    """True iff every bi-color quad has edge-sign product -1.
+def odd_quad_check(g: ValiseGraph) -> tuple[bool, list[tuple[int, ...]]]:
+    """True iff every bi-color quad of g has edge-sign product -1.
 
-    Offenders are returned as tuples of 0-based edge indices.  Signs
-    come from the assignment when given, else from the graph itself.
+    Offenders are returned as tuples of 0-based edge indices.
     """
-    signs = a.signs if a is not None else tuple(e.sign for e in g.edges)
-    if len(signs) != len(g.edges):
-        raise ValueError(
-            f"assignment has {len(signs)} signs for {len(g.edges)} edges"
-        )
-    bad = []
-    for quad in quads(g):
-        product = 1
-        for idx in quad:
-            product *= signs[idx]
-        if product != -1:
-            bad.append(quad)
+    signs = g.signs
+    bad = [quad for quad in quads(g) if math.prod(signs[i] for i in quad) != -1]
     return not bad, bad
 
 
@@ -188,9 +166,10 @@ def search_dashings(
     sign-independent).  Otherwise the odd-quad conditions over the free
     edges of a spanning forest are solved by GF(2) elimination.  A sign
     vector over the free edges reads as an integer, first free edge
-    most significant and bit 1 for +1, and the witness is the smallest
-    solution, taken straight from the reduced echelon form; it is the
-    first feasible vector in lexicographic order with -1 before +1.
+    most significant and bit 1 for +1, and the witness is g dashed
+    with the smallest solution, taken straight from the reduced echelon
+    form; it is the first feasible vector in lexicographic order with
+    -1 before +1, and every edge of gauge_fix(g) is +1 in it.
     With exhaustive=True all 2^nullity solutions are enumerated, so
     count_gauge_orbits is exact, and count_total is that count shifted
     by the forest size (V - #components, the log2 of every orbit's
@@ -232,22 +211,22 @@ def search_dashings(
         return infeasible(reason)
 
     free_pos = {edge_idx: k - 1 - t for t, edge_idx in enumerate(free)}
-    solved = _solve_odd_quads(quads(g), free_pos)
+    solved = _solve_odd_quads(report.quads, free_pos)
     if solved is None:
         return infeasible("quad parity system unsolvable over GF(2)")
 
     if 2**k > budget:
         raise BudgetError(2**k, budget, what=f"dashing search on {g.name!r}")
 
-    def confirmed(v: int) -> DashingAssignment:
+    def confirmed(v: int) -> ValiseGraph:
         signs = [1] * len(g.edges)
         for idx, bit in free_pos.items():
             signs[idx] = 1 if (v >> bit) & 1 else -1
-        a = DashingAssignment(signs=tuple(signs), gauge_fixed=True)
-        if not garden_check(gm.colors(apply_dashing(g, a))).ok:
+        dashed = g.with_signs(signs)
+        if not garden_check(gm.colors(dashed)).ok:
             # the odd-quad rule and the full check must agree
             raise AssertionError("odd-quad solution failed garden verification")
-        return a
+        return dashed
 
     minimum, basis = solved
     witness = confirmed(minimum)

@@ -1,21 +1,22 @@
 """Necessary conditions for a valise graph to be an adinkra candidate.
 
-Each check is independent, named, and purely structural: none of them
-looks at edge signs, so a verdict is invariant under re-dashing.  The
-checks are necessary, not sufficient; whether a compatible dashing
-exists is a separate search.
+candidacy runs three named filters (equal counts, color coverage,
+bi-color quads) and reports every failure.  None of them looks at edge
+signs, so a verdict is invariant under re-dashing.  The filters are
+necessary, not sufficient; whether a compatible dashing exists is a
+separate search, which reads its quads from the same report.
 
-The bi-color machinery lives here because two checks share it: inside
-the subgraph spanned by two colors every vertex has degree at most 2
-(each color is a partial matching), so the subgraph splits into simple
-paths and even cycles.  Quad candidacy demands that every such cycle
-have length exactly 4; open paths are permitted.
+Inside the subgraph spanned by two colors every vertex has degree at
+most 2 (each color is a partial matching), so the subgraph splits into
+simple paths and even cycles.  Quad candidacy demands that every such
+cycle have length exactly 4; open paths are permitted.  candidacy walks
+this decomposition once and splits its cycles into quads and offenders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from . import graph as gm
 from .graph import Node, ValiseGraph, Vertex
@@ -82,74 +83,66 @@ def bicolor_components(g: ValiseGraph) -> list[BiColorComponent]:
     return out
 
 
-def bicolor_cycles(g: ValiseGraph) -> list[BiColorComponent]:
-    return [c for c in bicolor_components(g) if c.closed]
-
-
 def quads(g: ValiseGraph) -> list[tuple[int, ...]]:
     """Edge-index tuples of all bi-color 4-cycles."""
-    return [c.edge_indices for c in bicolor_cycles(g) if c.length == 4]
-
-
-def check_equal_counts(g: ValiseGraph) -> tuple[bool, tuple[int, int]]:
-    """True iff the boson and fermion rows have the same size."""
-    return g.d == g.d_hat, (g.d, g.d_hat)
-
-
-def check_color_coverage(
-    g: ValiseGraph,
-) -> tuple[bool, list[tuple[Vertex, tuple[int, ...]]]]:
-    """True iff every vertex meets every color; lists (vertex, missing).
-
-    The matching property already caps incidence at one edge per color
-    per vertex, so this checks the lower bound.  Bosons are listed
-    before fermions, each by index.
-    """
-    seen: dict[Node, set[int]] = {v.node: set() for v in g.vertices()}
-    for e in g.edges:
-        seen[("B", e.boson)].add(e.color)
-        seen[("F", e.fermion)].add(e.color)
-    full = set(range(1, g.n_colors + 1))
-    misses = []
-    for v in g.vertices():
-        missing = full - seen[v.node]
-        if missing:
-            misses.append((v, tuple(sorted(missing))))
-    return not misses, misses
-
-
-def check_bicolor_quads(
-    g: ValiseGraph,
-) -> tuple[bool, list[BiColorComponent]]:
-    """True iff every bi-color cycle is a quad; lists the offenders."""
-    bad = [c for c in bicolor_cycles(g) if c.length != 4]
-    return not bad, bad
+    return [c.edge_indices for c in bicolor_components(g)
+            if c.closed and c.length == 4]
 
 
 @dataclass(frozen=True)
 class CandidacyReport:
-    bipartite_ok: bool
-    equal_counts_ok: bool
+    """The facts candidacy found; every verdict is derived from them.
+    quads and bad_cycles split the closed bi-color components, in
+    decomposition order, by whether their length is 4."""
+
     counts: tuple[int, int]
-    coverage_ok: bool
     coverage_misses: tuple[tuple[Vertex, tuple[int, ...]], ...]
-    quad_ok: bool
+    quads: tuple[tuple[int, ...], ...]
     bad_cycles: tuple[BiColorComponent, ...]
-    reasons: tuple[str, ...]
-    notes: tuple[str, ...]
+    empty: bool
+
+    # Structural in this data model: edges only join a boson to a fermion,
+    # so raw input that is not bipartite cannot parse.
+    bipartite_ok: ClassVar[bool] = True
+
+    @property
+    def equal_counts_ok(self) -> bool:
+        return self.counts[0] == self.counts[1]
+
+    @property
+    def coverage_ok(self) -> bool:
+        return not self.coverage_misses
+
+    @property
+    def quad_ok(self) -> bool:
+        return not self.bad_cycles
 
     @property
     def is_candidate(self) -> bool:
-        return (
-            self.bipartite_ok
-            and self.equal_counts_ok
-            and self.coverage_ok
-            and self.quad_ok
-        )
+        return self.equal_counts_ok and self.coverage_ok and self.quad_ok
 
     @property
     def verdict(self) -> str:
         return "candidate" if self.is_candidate else "rejected"
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """One line per failed filter, in filter order."""
+        reasons = []
+        if not self.equal_counts_ok:
+            reasons.append("unequal counts ({} vs {})".format(*self.counts))
+        if not self.coverage_ok:
+            reasons.append(f"incomplete color coverage ({len(self.coverage_misses)} "
+                           f"of {sum(self.counts)} vertices)")
+        if not self.quad_ok:
+            reasons.append(
+                f"bi-color cycles of length != 4 ({len(self.bad_cycles)} found)"
+            )
+        return tuple(reasons)
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        return ("empty graph: candidate holds vacuously",) if self.empty else ()
 
     def to_json_obj(self) -> dict:
         return {
@@ -177,36 +170,24 @@ class CandidacyReport:
 
 
 def candidacy(g: ValiseGraph) -> CandidacyReport:
-    """Aggregate all candidacy checks; every failure is reported.
+    """Run every candidacy filter; every failure is reported.
 
-    Bipartiteness is structural in this data model (edges only join a
-    boson to a fermion); raw input that violates it cannot parse.  It
-    is still reported as its own line for symmetry with file checking.
+    Coverage lists each vertex missing a color, bosons before fermions,
+    each by index (the matching property already caps incidence at one
+    edge per color per vertex, so this checks the lower bound).  The
+    bi-color decomposition is walked once.
     """
-    eq_ok, counts = check_equal_counts(g)
-    cov_ok, misses = check_color_coverage(g)
-    quad_ok, bad = check_bicolor_quads(g)
-    reasons = []
-    if not eq_ok:
-        reasons.append(f"unequal counts ({counts[0]} vs {counts[1]})")
-    if not cov_ok:
-        total = g.d + g.d_hat
-        reasons.append(
-            f"incomplete color coverage ({len(misses)} of {total} vertices)"
-        )
-    if not quad_ok:
-        reasons.append(f"bi-color cycles of length != 4 ({len(bad)} found)")
-    notes = []
-    if not g.edges:
-        notes.append("empty graph: candidate holds vacuously")
+    seen: dict[Node, set[int]] = {v.node: set() for v in g.vertices()}
+    for e in g.edges:
+        seen[("B", e.boson)].add(e.color)
+        seen[("F", e.fermion)].add(e.color)
+    full = set(range(1, g.n_colors + 1))
+    closed = [c for c in bicolor_components(g) if c.closed]
     return CandidacyReport(
-        bipartite_ok=True,
-        equal_counts_ok=eq_ok,
-        counts=counts,
-        coverage_ok=cov_ok,
-        coverage_misses=tuple(misses),
-        quad_ok=quad_ok,
-        bad_cycles=tuple(bad),
-        reasons=tuple(reasons),
-        notes=tuple(notes),
+        counts=(g.d, g.d_hat),
+        coverage_misses=tuple((v, tuple(sorted(full - seen[v.node])))
+                              for v in g.vertices() if seen[v.node] != full),
+        quads=tuple(c.edge_indices for c in closed if c.length == 4),
+        bad_cycles=tuple(c for c in closed if c.length != 4),
+        empty=not g.edges,
     )

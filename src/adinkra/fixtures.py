@@ -14,8 +14,6 @@ import json
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import catalog
 from . import graph as gm
 from .errors import GraphFormatError
@@ -78,6 +76,7 @@ def _diff_side(
         # only a JSON integer matches: in Python 1.0 == True == 1
         if want != got or any(set(map(type, row)) - {int} for row in want):
             ok = False
+            import numpy as np
             want = np.asarray(want, dtype=object)
             if want.shape != table.shape:
                 diffs.append(

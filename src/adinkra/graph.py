@@ -24,11 +24,12 @@ import enum
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import GraphFormatError
+
+if TYPE_CHECKING:  # numpy is imported where arrays cross the boundary
+    import numpy as np
 
 Node = tuple[str, int]
 
@@ -105,6 +106,11 @@ class ValiseGraph:
 
     def with_name(self, name: str) -> "ValiseGraph":
         return dataclasses.replace(self, name=name)
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """Edge signs in edge order, the inverse of with_signs."""
+        return tuple(e.sign for e in self.edges)
 
     def with_signs(self, signs: Sequence[int]) -> "ValiseGraph":
         """Replace edge signs positionally; order follows self.edges."""
@@ -232,6 +238,7 @@ def colors(g: ValiseGraph) -> list[SignedPermutation]:
 
 def to_matrices(g: ValiseGraph) -> list[np.ndarray]:
     """The L matrices as read-only d x dhat int64 arrays."""
+    import numpy as np
     mats = []
     for p in colors(g):
         m = np.zeros(p.shape, dtype=np.int64)
@@ -244,6 +251,7 @@ def to_matrices(g: ValiseGraph) -> list[np.ndarray]:
 
 def as_exact(matrix: object) -> np.ndarray:
     """Coerce to an exact int64 2-d array, refusing lossy input."""
+    import numpy as np
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
@@ -269,6 +277,7 @@ def signed_permutations(matrices: Sequence[object]) -> list[SignedPermutation]:
     """Read each matrix as a signed partial permutation; ValueError for
     an empty list, unequal shapes, inexact entries, entries outside -1,
     0, 1, or two nonzeros in one row (else column, the first named)."""
+    import numpy as np
     out = []
     for k, a in enumerate(_check_shapes(matrices), start=1):
         rs, cs = np.nonzero(a)

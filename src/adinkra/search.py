@@ -372,9 +372,9 @@ def run_search(
 ) -> SearchOutcome:
     """Full pipeline: enumerate, dedupe, dashing-search each class.
 
-    Each solution's graph is its topology with a witness dashing
-    applied, re-verified by the exact garden check inside
-    search_dashings; the graph is the only record of the signs.
+    Each solution's graph is the witness search_dashings returns: its
+    topology dashed and confirmed by the exact garden check; the graph
+    is the only record of the signs.
     Classes are reported in order of their first raw candidate.
     """
     budget = resolve_budget(budget, TOPOLOGY_BUDGET)
@@ -388,12 +388,11 @@ def run_search(
         g = topology_graph(topo, name=f"search-d{spec.d}-n{spec.n_colors}-{first}")
         result = search_dashings(g, exhaustive=False, budget=budget)
         if result.feasible:
-            dashed = g.with_signs(result.witness.signs)
             solutions.append(
                 TopologyClass(
                     topology=topo,
-                    graph=dashed,
-                    connected=gm.is_connected(dashed),
+                    graph=result.witness,
+                    connected=gm.is_connected(result.witness),
                     multiplicity=mult,
                     first_index=first,
                 )

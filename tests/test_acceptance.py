@@ -11,7 +11,6 @@ import numpy as np
 
 from adinkra import (
     SearchSpec,
-    apply_dashing,
     candidacy,
     canonical_form,
     colors,
@@ -188,8 +187,7 @@ def test_criterion_8_round_trips_gauge_orbit_and_quad_rule():
         signs = [int(s) for s in rng.choice((-1, 1), size=len(g.edges))]
         assert candidacy(g.with_signs(signs)).reasons == base
 
-    witness = search_dashings(cube()).witness
-    dashed = apply_dashing(cube(), witness)
+    dashed = search_dashings(cube()).witness
     nodes = [v.node for v in dashed.vertices()]
     current = dashed
     for _ in range(100):

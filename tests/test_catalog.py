@@ -106,6 +106,13 @@ def test_hypercube_counts():
         hypercube(17)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "3"])
+def test_hypercube_refuses_what_is_not_exactly_an_int(n):
+    with pytest.raises(ValueError, match=f"^hypercube dimension must be an "
+                                         f"integer >= 1, got {n}$"):
+        hypercube(n)
+
+
 def test_hypercube_garden_passes():
     for n in range(1, 7):
         assert garden_check(colors(hypercube(n))).ok, n

@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -480,3 +484,26 @@ PINNED = [
 def test_cli_bytes_are_pinned(capsys, argv, code, digest):
     got, out, err = run(capsys, *argv.split())
     assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
+
+
+_NO_NUMPY = """
+import contextlib, io, sys
+import adinkra.cli
+argvs = [[cmd, "builtin:cube"] for cmd in ("check", "garden", "matrices", "dashings")]
+argvs.append(["search", "-d", "4", "-n", "3"])
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert adinkra.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_cube_commands_leave_numpy_unimported():
+    """numpy is imported only where arrays cross the boundary, so a fresh
+    interpreter that runs the graph commands on the cube never loads it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -7,11 +7,9 @@ import pytest
 
 from adinkra import (
     BudgetError,
-    DashingAssignment,
     Edge,
     SearchSpec,
     ValiseGraph,
-    apply_dashing,
     bow_tie,
     colors,
     cube,
@@ -28,6 +26,7 @@ from adinkra import (
     topology_graph,
     vertex_flip,
 )
+from adinkra import filters, search
 from adinkra.dashings import _solve_odd_quads
 from conftest import (
     brute_gauge_orbits,
@@ -75,13 +74,13 @@ def test_odd_quad_rule_matches_garden():
     assert not garden_check(colors(all_plus)).ok
 
 
-def test_odd_quad_check_with_assignment():
+def test_odd_quad_check_reads_the_graphs_signs():
     g = diamond()
-    a = DashingAssignment(signs=tuple(e.sign for e in g.edges))
-    ok, _ = odd_quad_check(g.with_signs([1] * 4), a)
-    assert ok  # assignment overrides the graph's own signs
-    with pytest.raises(ValueError, match="4 edges"):
-        odd_quad_check(g, DashingAssignment(signs=(1, 1)))
+    assert odd_quad_check(g)[0]
+    assert g.with_signs(g.signs) == g
+    assert not odd_quad_check(g.with_signs([1] * 4))[0]
+    with pytest.raises(ValueError, match="^got 2 signs for 4 edges$"):
+        g.with_signs((1, 1))
 
 
 def test_diamond_exhaustive_counts():
@@ -98,9 +97,9 @@ def test_cube_exhaustive_counts():
     assert res.free_edge_count == 5
     assert res.count_gauge_orbits == 1
     assert res.count_total == 128
-    dashed = apply_dashing(cube(), res.witness)
-    assert garden_check(colors(dashed)).ok
-    assert odd_quad_check(dashed)[0]
+    assert res.witness == cube().with_signs(res.witness.signs)
+    assert garden_check(colors(res.witness)).ok
+    assert odd_quad_check(res.witness)[0]
 
 
 def test_cube_raw_count_matches_orbit_expansion():
@@ -112,7 +111,6 @@ def test_witness_is_deterministic_and_gauge_fixed():
     a = search_dashings(cube())
     b = search_dashings(cube())
     assert a.witness == b.witness
-    assert a.witness.gauge_fixed
     forest = gauge_fix(cube())
     assert all(a.witness.signs[i] == 1 for i in forest)
     assert not a.exhaustive and a.count_gauge_orbits == 1
@@ -125,6 +123,36 @@ def test_budget_error():
     assert info.value.required == 32
     assert info.value.budget == 16
     assert "32 enumeration steps" in str(info.value)
+
+
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs the name of each graph
+    it is called on; returns the log."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(g, *args, **kwargs):
+        calls.append(g.name)
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_one_bicolor_decomposition_per_search(monkeypatch, exhaustive):
+    decompositions = _record_calls(monkeypatch, filters, "bicolor_components")
+    for g in (diamond(), cube(), hypercube(4), rhombic_icosahedron(), bow_tie()):
+        decompositions.clear()
+        search_dashings(g, exhaustive=exhaustive)
+        assert decompositions == [g.name]
+
+
+def test_one_bicolor_decomposition_per_search_class(monkeypatch):
+    decompositions = _record_calls(monkeypatch, filters, "bicolor_components")
+    searched = _record_calls(monkeypatch, search, "search_dashings")
+    run_search(SearchSpec(4, 3))
+    assert searched and decompositions == searched
 
 
 def test_pruned_reasons():

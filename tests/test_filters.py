@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from adinkra import (
+    BUILTIN_NAMES,
     Edge,
     GraphFormatError,
     ValiseGraph,
     bicolor_components,
     bow_tie,
+    builtin,
     candidacy,
-    check_bicolor_quads,
-    check_color_coverage,
-    check_equal_counts,
     hypercube,
     lifted_rd,
     quads,
@@ -24,28 +23,29 @@ from conftest import random_valise_graph
 
 
 def test_equal_counts():
-    ok, counts = check_equal_counts(rhombic_dodecahedron())
-    assert not ok and counts == (6, 8)
-    ok, counts = check_equal_counts(rhombic_icosahedron())
-    assert ok and counts == (11, 11)
+    rep = candidacy(rhombic_dodecahedron())
+    assert not rep.equal_counts_ok and rep.counts == (6, 8)
+    rep = candidacy(rhombic_icosahedron())
+    assert rep.equal_counts_ok and rep.counts == (11, 11)
 
 
 def test_empty_graph_is_vacuous_candidate():
     g = ValiseGraph("empty", 1, (), (), ())
     rep = candidacy(g)
     assert rep.is_candidate and rep.verdict == "candidate"
-    assert any("vacuous" in n for n in rep.notes)
+    assert rep.empty and any("vacuous" in n for n in rep.notes)
+    assert not candidacy(hypercube(1)).empty and candidacy(hypercube(1)).notes == ()
 
 
 def test_coverage_hypercube_complete():
-    ok, misses = check_color_coverage(hypercube(3))
-    assert ok and misses == []
+    rep = candidacy(hypercube(3))
+    assert rep.coverage_ok and rep.coverage_misses == ()
 
 
 def test_coverage_ri_details():
-    ok, misses = check_color_coverage(rhombic_icosahedron())
-    assert not ok
-    by_node = {v.node: m for v, m in misses}
+    rep = candidacy(rhombic_icosahedron())
+    assert not rep.coverage_ok
+    by_node = {v.node: m for v, m in rep.coverage_misses}
     assert by_node[("B", 3)] == (1, 5)
     full_bosons = [i for i in range(1, 12) if ("B", i) not in by_node]
     full_fermions = [j for j in range(1, 12) if ("F", j) not in by_node]
@@ -54,7 +54,7 @@ def test_coverage_ri_details():
 
 
 def test_coverage_rd_fermions_missing_color_1():
-    _, misses = check_color_coverage(rhombic_dodecahedron())
+    misses = candidacy(rhombic_dodecahedron()).coverage_misses
     by_node = {v.node: m for v, m in misses}
     assert by_node[("F", 2)] == (1,)
     assert by_node[("F", 7)] == (1,)
@@ -63,9 +63,9 @@ def test_coverage_rd_fermions_missing_color_1():
 
 def test_coverage_lifted_rd_mirrored_fermions():
     g = lifted_rd()
-    ok, misses = check_color_coverage(g)
-    assert not ok
-    by_node = {v.node: m for v, m in misses}
+    rep = candidacy(g)
+    assert not rep.coverage_ok
+    by_node = {v.node: m for v, m in rep.coverage_misses}
     # Bosons 7..14 mirror the RD fermions 1..8; every one lacks a color.
     assert {("B", i) for i in range(7, 15)} <= set(by_node)
     # The mirror of fermion 1 misses color 2, like fermion 1 itself.
@@ -90,16 +90,15 @@ def _alternating_cycle(n_pairs: int) -> ValiseGraph:
 
 def test_quads_pass_on_catalog():
     for g in (hypercube(4), rhombic_dodecahedron(), rhombic_icosahedron()):
-        ok, bad = check_bicolor_quads(g)
-        assert ok and bad == []
+        rep = candidacy(g)
+        assert rep.quad_ok and rep.bad_cycles == ()
 
 
 def test_six_cycle_fails_quads():
-    g = _alternating_cycle(3)
-    ok, bad = check_bicolor_quads(g)
-    assert not ok
-    assert len(bad) == 1
-    cycle = bad[0]
+    rep = candidacy(_alternating_cycle(3))
+    assert not rep.quad_ok and rep.quads == ()
+    assert len(rep.bad_cycles) == 1
+    cycle = rep.bad_cycles[0]
     assert cycle.length == 6
     assert (cycle.color_i, cycle.color_j) == (1, 2)
     assert len(cycle.nodes) == 6
@@ -109,14 +108,34 @@ def test_doubled_pair_is_a_two_cycle():
     g = ValiseGraph(
         "doubled", 2, ("a",), ("x",), (Edge(1, 1, 1, 1), Edge(1, 1, 2, 1))
     )
-    ok, bad = check_bicolor_quads(g)
-    assert not ok and bad[0].length == 2
+    rep = candidacy(g)
+    assert not rep.quad_ok and rep.bad_cycles[0].length == 2
 
 
 def test_quad_list_on_cube():
     cube_quads = quads(hypercube(3))
     assert len(cube_quads) == 6
     assert all(len(q) == 4 for q in cube_quads)
+
+
+def _builtins_and_random_graphs():
+    graphs = [builtin(name) for name in BUILTIN_NAMES if name != "hypercube-<n>"]
+    graphs += [hypercube(n) for n in range(1, 6)]
+    graphs += [_alternating_cycle(k) for k in (1, 2, 3, 5)]
+    rng = np.random.default_rng(29)
+    graphs += [random_valise_graph(rng, tag=tag) for tag in range(200)]
+    return graphs
+
+
+def test_quads_and_bad_cycles_partition_the_closed_components():
+    """Every closed bi-color component lands in exactly one of the two
+    lists, and each list keeps the decomposition order."""
+    for g in _builtins_and_random_graphs():
+        rep = candidacy(g)
+        closed = [c for c in bicolor_components(g) if c.closed]
+        assert rep.quads == tuple(c.edge_indices for c in closed if c.length == 4)
+        assert rep.bad_cycles == tuple(c for c in closed if c.length != 4)
+        assert list(rep.quads) == quads(g), g.name
 
 
 def test_bicolor_components_split_paths_and_cycles():
